@@ -564,10 +564,8 @@ fn paper_report() {
     // absorb more client batches than it issues `Workspace::apply` calls.
     service_row();
 
-    // D6 — connection scaling A/B across front-ends (same workload on
-    // both, per the reproducibility discipline): 8 vs 128 concurrent
-    // connections, Threaded vs Evented, gated on bit-identity, the
-    // evented thread ceiling, and evented throughput at the high tier.
+    // D6 — connection scaling: 8 vs 128 concurrent connections, gated on
+    // bit-identity and the server's OS-thread ceiling.
     connections_row();
 
     // D5 — the O(dirty) query side: after each churn step, a delta query
@@ -787,8 +785,6 @@ impl Comparison {
     }
 }
 
-/// Best-of-`reps` wall-clock for `f`, in milliseconds, plus the last run's
-/// result (so callers can verify outputs without recomputing them).
 /// D4 — the service layer under concurrent writers: a loopback TCP
 /// server over the same incremental engine, 8 writer connections
 /// mutating tenant 0 while a reader forces re-solves. Gated in-row: the
@@ -829,61 +825,46 @@ fn service_row() {
 }
 
 /// D6 — connection scaling: the same admit/query/retire workload driven
-/// over 8 vs 128 concurrent connections, thread-per-connection vs the
-/// poll(2) reactor. Gated in-row: every run must be bit-identical to a
-/// from-scratch solve; the evented front-end must hold its server-side
-/// OS-thread delta ≤ 4 even at 128 connections (thread-per-connection
-/// pays one thread per client); and at the high-connection tier evented
-/// throughput must at least match threaded (in practice it runs ~2× —
-/// 128 runnable threads mostly pay the scheduler).
+/// over 8 vs 128 concurrent connections. Gated in-row: every run must be
+/// bit-identical to a from-scratch solve, and the server must hold its
+/// OS-thread delta ≤ 4 even at 128 connections (the reactor plus one
+/// actor per live tenant, whatever the connection count).
 /// Also runnable alone as `report --connections`.
 fn connections_row() {
     use dagwave_bench::service::connection_scaling;
-    use dagwave_serve::FrontEnd;
-    let mut rps_at_128 = [0.0f64; 2]; // [threaded, evented]
-                                      // federated(32): enough disjoint components that 128 connections'
-                                      // duplicate admissions land on distinct donors instead of stacking
-                                      // into one exponentially-colorable clique.
+    // federated(32): enough disjoint components that 128 connections'
+    // duplicate admissions land on distinct donors instead of stacking
+    // into one exponentially-colorable clique.
     for &(conns, ops) in &[(8usize, 24usize), (128usize, 3usize)] {
-        for fe in [FrontEnd::Threaded, FrontEnd::Evented] {
-            let r = connection_scaling(32, conns, ops, fe);
-            assert!(
+        let r = connection_scaling(32, conns, ops);
+        assert!(
+            r.identical,
+            "served solution diverged from from-scratch at {conns} connections"
+        );
+        assert!(
+            r.thread_delta <= 4,
+            "server spent {} threads on {conns} connections",
+            r.thread_delta
+        );
+        row(
+            "D6 connection scaling",
+            &format!("federated(32), {conns} conns × {ops} ops"),
+            "bit-identical, ≤4 srv threads",
+            &format!(
+                "identical={}, {:.0} req/s, p50={:.0} µs, p99={:.0} µs, \
+                 +{} srv threads",
                 r.identical,
-                "{fe:?} front-end diverged from from-scratch at {conns} connections"
-            );
-            if fe == FrontEnd::Evented {
-                assert!(
-                    r.thread_delta <= 4,
-                    "evented front-end spent {} server threads on {conns} connections",
-                    r.thread_delta
-                );
-            }
-            if conns == 128 {
-                rps_at_128[matches!(fe, FrontEnd::Evented) as usize] = r.requests_per_sec();
-            }
-            row(
-                "D6 connection scaling",
-                &format!("federated(32), {conns} conns × {ops} ops, {fe:?}"),
-                "bit-identical, evented ≤4 srv threads",
-                &format!(
-                    "identical={}, {:.0} req/s, p50={:.0} µs, p99={:.0} µs, \
-                     +{} srv threads",
-                    r.identical,
-                    r.requests_per_sec(),
-                    r.p50_us,
-                    r.p99_us,
-                    r.thread_delta
-                ),
-            );
-        }
+                r.requests_per_sec(),
+                r.p50_us,
+                r.p99_us,
+                r.thread_delta
+            ),
+        );
     }
-    let [threaded, evented] = rps_at_128;
-    assert!(
-        evented >= threaded,
-        "evented fell behind threaded at 128 connections: {evented:.0} vs {threaded:.0} req/s"
-    );
 }
 
+/// Best-of-`reps` wall-clock for `f`, in milliseconds, plus the last run's
+/// result (so callers can verify outputs without recomputing them).
 fn time_ms_with<R>(reps: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut best = f64::INFINITY;
     let mut out = None;

@@ -104,7 +104,7 @@ impl fmt::Display for BackendKind {
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub enum Policy {
     /// Classify the instance and dispatch to the strongest applicable
-    /// method (the historical `WavelengthSolver::solve` behavior).
+    /// method.
     #[default]
     Auto,
     /// Run exactly this backend; error with

@@ -216,11 +216,8 @@ impl SolveSession {
         SolveSession { request }
     }
 
-    /// Session with default budgets and [`Policy::Auto`] — the drop-in
-    /// replacement for the old `WavelengthSolver::new()`, except that the
-    /// default [`DecomposePolicy::Auto`] additionally shards large
-    /// multi-component instances (the deprecated shim itself keeps
-    /// decomposition pinned off).
+    /// Session with default budgets and [`Policy::Auto`]; the default
+    /// [`DecomposePolicy::Auto`] shards large multi-component instances.
     pub fn auto() -> Self {
         Self::default()
     }
@@ -912,129 +909,6 @@ pub fn conflict_to_ugraph(cg: &ConflictGraph) -> UGraph {
     UGraph::from_sorted_adjacency(adj)
 }
 
-// ---------------------------------------------------------------------------
-// Deprecated facade
-// ---------------------------------------------------------------------------
-
-/// The pre-portfolio solver facade, retained as a thin shim.
-///
-/// `WavelengthSolver::new().solve(..)` behaves exactly like
-/// `SolveSession::auto().solve(..)`; the two public budget fields map to
-/// [`SolverBuilder::exact_limit`] and [`SolverBuilder::exact_budget`].
-#[deprecated(
-    since = "0.3.0",
-    note = "use SolverBuilder/SolveSession (SolveSession::auto() matches the old behavior)"
-)]
-#[derive(Clone, Debug)]
-pub struct WavelengthSolver {
-    /// Largest conflict graph handed to the exact solver (vertices).
-    pub exact_limit: usize,
-    /// Node budget for the exact solver.
-    pub exact_budget: u64,
-}
-
-#[allow(deprecated)]
-impl Default for WavelengthSolver {
-    fn default() -> Self {
-        let req = SolveRequest::default();
-        WavelengthSolver {
-            exact_limit: req.exact_limit,
-            exact_budget: req.exact_budget,
-        }
-    }
-}
-
-#[allow(deprecated)]
-impl WavelengthSolver {
-    /// Solver with default limits.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn session(&self) -> SolveSession {
-        SolveSession::new(self.request())
-    }
-
-    /// The shim's request: the old facade predates decompose-solve-merge,
-    /// so decomposition is pinned off to honor the "identical behavior"
-    /// contract above.
-    fn request(&self) -> SolveRequest {
-        SolveRequest {
-            exact_limit: self.exact_limit,
-            exact_budget: self.exact_budget,
-            decompose: DecomposePolicy::Off,
-            ..SolveRequest::default()
-        }
-    }
-
-    /// Solve the instance, dispatching on its class.
-    pub fn solve(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-    ) -> Result<Solution, CoreError> {
-        self.session().solve(g, family)
-    }
-
-    /// Solve many instances in parallel; see [`SolveSession::solve_batch`].
-    pub fn solve_batch(
-        &self,
-        instances: &[(&dagwave_graph::Digraph, &DipathFamily)],
-    ) -> Vec<Result<Solution, CoreError>> {
-        self.session().solve_batch(instances)
-    }
-
-    /// Weighted-coloring path for families with duplicated dipaths; returns
-    /// `None` when the weighted backend does not apply (no duplicates, or
-    /// base larger than the dedup limit).
-    pub fn solve_weighted(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-        class: DagClass,
-    ) -> Option<Solution> {
-        let request = self.request();
-        let ctx = InstanceContext::new(g, family, &request).ok()?;
-        if backend(BackendKind::Weighted).unsupported(&ctx).is_some() {
-            return None;
-        }
-        let (attempt, outcome) = run_required(BackendKind::Weighted, &ctx).ok()?;
-        let mut sol = build_solution(&ctx, BackendKind::Weighted, outcome, vec![attempt]);
-        sol.class = class; // historical signature: caller supplies the class
-        Some(sol)
-    }
-
-    /// Fallback path: exact chromatic on small conflict graphs, DSATUR
-    /// beyond. Also used directly by benches as the baseline.
-    pub fn solve_general(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-        class: DagClass,
-    ) -> Result<Solution, CoreError> {
-        let request = self.request();
-        let ctx = InstanceContext::new(g, family, &request)?;
-        let kind = if backend(BackendKind::Exact).unsupported(&ctx).is_none() {
-            BackendKind::Exact
-        } else {
-            BackendKind::Dsatur
-        };
-        let (attempt, outcome) = run_required(kind, &ctx)?;
-        let mut sol = build_solution(&ctx, kind, outcome, vec![attempt]);
-        sol.class = class;
-        Ok(sol)
-    }
-
-    /// See [`SolveSession::guaranteed_bound`].
-    pub fn guaranteed_bound(
-        &self,
-        g: &dagwave_graph::Digraph,
-        family: &DipathFamily,
-    ) -> Option<usize> {
-        self.session().guaranteed_bound(g, family)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1368,27 +1242,6 @@ mod tests {
             "pulled {} instances for one result (window {window})",
             pulled.get()
         );
-    }
-
-    #[test]
-    fn deprecated_facade_still_matches_the_session() {
-        #[allow(deprecated)]
-        let old = WavelengthSolver::new();
-        let (g, f) = general_instance();
-        #[allow(deprecated)]
-        let a = old.solve(&g, &f).unwrap();
-        let b = SolveSession::auto().solve(&g, &f).unwrap();
-        assert_eq!(a.num_colors, b.num_colors);
-        assert_eq!(a.strategy, b.strategy);
-        assert_eq!(a.assignment.colors(), b.assignment.colors());
-        #[allow(deprecated)]
-        let w = old
-            .solve_general(&g, &f, crate::internal::classify(&g))
-            .unwrap();
-        assert!(w.assignment.is_valid(&g, &f));
-        #[allow(deprecated)]
-        let none = old.solve_weighted(&g, &f, crate::internal::classify(&g));
-        assert!(none.is_none(), "family has no duplicates");
     }
 
     /// Three conflict components: the guarded diamond family splits in two

@@ -4,20 +4,20 @@
 //! The `Workspace` is single-writer by design (every mutation rewrites
 //! shard caches in place), so the service never shares it behind a lock.
 //! Instead each tenant gets an **actor**: a dedicated thread that drains a
-//! command channel, and any number of connection threads holding cloneable
-//! [`TenantHandle`]s that enqueue commands and block on a per-request
-//! reply channel. Ordering within one connection is the order it sends;
-//! across connections, the queue order.
+//! command channel. Every command carries a one-shot reply callback; the
+//! server's reactor posts replies back to itself through it, and the
+//! cloneable [`TenantHandle`] wraps a per-request channel in it to offer a
+//! blocking round trip. Ordering within one connection is the order it
+//! sends; across connections, the queue order.
 //!
 //! # Backpressure
 //!
 //! The command queue is a `sync_channel` bounded at
 //! [`ActorConfig::queue_depth`]. Blocking callers ([`TenantHandle`]
-//! methods) simply wait when the actor is behind — natural backpressure
-//! for the threaded front-end. The evented front-end instead uses the
-//! non-blocking crate-internal send and surfaces a full queue to the
-//! client as a typed `Busy` error, so the reactor thread never blocks on
-//! a saturated actor.
+//! methods) simply wait when the actor is behind. The server's reactor
+//! instead uses the non-blocking crate-internal send and surfaces a full
+//! queue to the client as a typed `Busy` error, so the reactor thread
+//! never blocks on a saturated actor.
 //!
 //! # Coalescing
 //!
@@ -94,9 +94,9 @@ pub enum ServeError {
     },
     /// The actor has stopped (server shutting down).
     Stopped,
-    /// The actor's bounded command queue is full (evented front-end
-    /// only — blocking handles wait instead). Transient: retry after
-    /// draining responses.
+    /// The actor's bounded command queue is full (server requests only —
+    /// blocking handles wait instead). Transient: retry after draining
+    /// responses.
     Busy,
 }
 
@@ -148,8 +148,8 @@ pub struct ActorConfig {
     pub span_budget: Option<usize>,
     /// Max queued mutation batches one `Workspace::apply` may coalesce.
     pub max_coalesce: usize,
-    /// Bound on the actor's command queue; senders beyond it block
-    /// (threaded) or get [`ServeError::Busy`] (evented).
+    /// Bound on the actor's command queue; blocking handles beyond it
+    /// wait, server requests get [`ServeError::Busy`].
     pub queue_depth: usize,
     /// What to do with over-budget batches.
     pub admission: AdmissionPolicy,
@@ -207,24 +207,10 @@ pub(crate) enum ActorReply {
     Stats(Box<(WorkspaceStats, ActorStats)>),
 }
 
-/// Where one command's reply goes: a blocking per-request channel
-/// (threaded front-end) or a callback that posts a completion and wakes
-/// the reactor (evented front-end). Decouples the actor from reactor
-/// types.
-pub(crate) enum Responder {
-    Blocking(mpsc::Sender<ActorReply>),
-    Callback(Box<dyn FnOnce(ActorReply) + Send>),
-}
-
-impl Responder {
-    fn send(self, reply: ActorReply) {
-        match self {
-            // A dropped receiver just means the client went away.
-            Responder::Blocking(tx) => drop(tx.send(reply)),
-            Responder::Callback(f) => f(reply),
-        }
-    }
-}
+/// Where one command's reply goes: called exactly once with the reply,
+/// or dropped unanswered if the actor exits first. Decouples the actor
+/// from reactor types.
+pub(crate) type Responder = Box<dyn FnOnce(ActorReply) + Send>;
 
 pub(crate) enum Command {
     Apply {
@@ -259,8 +245,10 @@ impl TenantHandle {
         make: impl FnOnce(Responder) -> Command,
     ) -> Result<ActorReply, ServeError> {
         let (reply_tx, reply_rx) = mpsc::channel();
+        // A dropped receiver just means the caller went away.
+        let respond: Responder = Box::new(move |reply| drop(reply_tx.send(reply)));
         self.tx
-            .send(make(Responder::Blocking(reply_tx)))
+            .send(make(respond))
             .map_err(|_| ServeError::Stopped)?;
         reply_rx.recv().map_err(|_| ServeError::Stopped)
     }
@@ -307,12 +295,21 @@ impl TenantHandle {
         let _ = self.tx.send(Command::Stop);
     }
 
-    /// Non-blocking enqueue for the evented front-end: a full queue comes
+    /// Non-blocking enqueue for the server's reactor: a full queue comes
     /// back as `Err` instead of blocking the reactor thread.
     pub(crate) fn try_send(&self, cmd: Command) -> Result<(), TrySendError<Command>> {
         self.tx.try_send(cmd)
     }
 }
+
+/// Stack size of every tenant actor thread, matching the rayon shim's
+/// 16 MiB workers. A refresh waits on its shard solves, and while it
+/// waits the pool's caller-helps loop runs other queued shard jobs on the
+/// actor's own stack; those jobs recurse linearly in their shard, so the
+/// 2 MiB spawned-thread default overflows on large tenants (a
+/// `federated(3584)` first refresh always did), and an overflow aborts
+/// the whole process.
+const ACTOR_STACK_SIZE: usize = 16 << 20;
 
 /// Spawn the actor thread for one tenant workspace.
 pub fn spawn_tenant(
@@ -321,7 +318,12 @@ pub fn spawn_tenant(
 ) -> (TenantHandle, thread::JoinHandle<()>) {
     let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
     // lint: allow(no-raw-sync): the actor thread IS the synchronization design — one owner per workspace, mpsc the only coupling
-    let join = thread::spawn(move || run_actor(workspace, rx, config));
+    let join = thread::Builder::new()
+        .name("dagwave-tenant".into())
+        .stack_size(ACTOR_STACK_SIZE)
+        .spawn(move || run_actor(workspace, rx, config))
+        // lint: allow(no-panic): same failure contract as `thread::spawn`, which panics when the OS refuses a thread
+        .expect("failed to spawn tenant actor thread");
     (TenantHandle { tx }, join)
 }
 
@@ -450,7 +452,7 @@ fn handle_mutations(
             Ok(()) => accepted.push(batch),
             Err(e) => match cfg.admission {
                 AdmissionPolicy::Reject => {
-                    batch.respond.send(ActorReply::Applied(Err(e)));
+                    (batch.respond)(ActorReply::Applied(Err(e)));
                 }
                 AdmissionPolicy::Wait { .. } => park_or_reject(ws, cfg, batch, parked),
             },
@@ -473,32 +475,22 @@ fn park_or_reject(
 ) {
     let budget = cfg.span_budget.unwrap_or(usize::MAX);
     let projected = batch_projection(ws, &batch.ops);
-    let AdmissionPolicy::Wait { max_queue, timeout } = cfg.admission else {
-        batch
-            .respond
-            .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
+    match cfg.admission {
+        AdmissionPolicy::Wait { max_queue, timeout } if parked.len() < max_queue => {
+            parked.push_back(Parked {
+                ops: batch.ops,
+                respond: batch.respond,
+                // lint: allow(no-wallclock): stamping the client-visible Wait deadline
+                deadline: Instant::now() + timeout,
                 budget,
                 projected,
-            })));
-        return;
-    };
-    if parked.len() >= max_queue {
-        batch
-            .respond
-            .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                budget,
-                projected,
-            })));
-        return;
+            })
+        }
+        _ => (batch.respond)(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
+            budget,
+            projected,
+        }))),
     }
-    parked.push_back(Parked {
-        ops: batch.ops,
-        respond: batch.respond,
-        // lint: allow(no-wallclock): stamping the client-visible Wait deadline
-        deadline: Instant::now() + timeout,
-        budget,
-        projected,
-    });
 }
 
 /// Reject every parked batch whose deadline has passed. Deadlines are
@@ -509,11 +501,10 @@ fn expire_overdue(parked: &mut VecDeque<Parked>) {
     let now = Instant::now();
     while parked.front().is_some_and(|p| p.deadline <= now) {
         if let Some(p) = parked.pop_front() {
-            p.respond
-                .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                    budget: p.budget,
-                    projected: p.projected,
-                })));
+            (p.respond)(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
+                budget: p.budget,
+                projected: p.projected,
+            })));
         }
     }
 }
@@ -549,8 +540,7 @@ fn retry_parked(
 /// Answer every parked batch with `Stopped` (actor shutting down).
 fn fail_parked(parked: &mut VecDeque<Parked>) {
     for p in parked.drain(..) {
-        p.respond
-            .send(ActorReply::Applied(Err(ServeError::Stopped)));
+        (p.respond)(ActorReply::Applied(Err(ServeError::Stopped)));
     }
 }
 
@@ -580,19 +570,19 @@ fn serve_read(
                     })
                     .map_err(ServeError::Core),
             };
-            respond.send(ActorReply::Snapshot(snap));
+            respond(ActorReply::Snapshot(snap));
         }
         Command::QueryDelta { since, respond } => {
             stats.delta_queries += 1;
             let delta = ws.delta_since(Epoch(since)).map_err(ServeError::Core);
-            respond.send(ActorReply::Delta(delta));
+            respond(ActorReply::Delta(delta));
         }
         Command::Stats { respond } => {
-            respond.send(ActorReply::Stats(Box::new((ws.stats(), *stats))));
+            respond(ActorReply::Stats(Box::new((ws.stats(), *stats))));
         }
         Command::Apply { respond, .. } => {
             // Unreachable by construction; answer rather than panic.
-            respond.send(ActorReply::Applied(Err(ServeError::Stopped)));
+            respond(ActorReply::Applied(Err(ServeError::Stopped)));
         }
         Command::Stop => {}
     }
@@ -629,7 +619,7 @@ fn apply_admitted(ws: &mut Workspace, accepted: Vec<PendingBatch>, stats: &mut A
                     .count();
                 let ids = all_ids[cursor..cursor + adds].to_vec();
                 cursor += adds;
-                batch.respond.send(ActorReply::Applied(Ok(ids)));
+                (batch.respond)(ActorReply::Applied(Ok(ids)));
             }
             true
         }
@@ -685,7 +675,7 @@ fn fail_one_then_apply_each(
     stats: &mut ActorStats,
 ) -> bool {
     let batch = accepted.remove(bad);
-    batch.respond.send(ActorReply::Applied(Err(err)));
+    (batch.respond)(ActorReply::Applied(Err(err)));
     apply_each(ws, accepted, stats)
 }
 
@@ -710,7 +700,7 @@ fn apply_each(ws: &mut Workspace, batches: Vec<PendingBatch>, stats: &mut ActorS
             stats.batches += 1;
             stats.applies += 1;
         }
-        batch.respond.send(ActorReply::Applied(result));
+        (batch.respond)(ActorReply::Applied(result));
     }
     mutated
 }

@@ -1,10 +1,9 @@
 //! # dagwave-serve
 //!
 //! The service layer over the incremental [`Workspace`]: a versioned
-//! binary wire protocol on TCP, a server with selectable front-ends
-//! (thread-per-connection, or a single-threaded `poll(2)` reactor), and a
-//! single-writer actor per tenant that coalesces queued mutations into
-//! shared recomputations.
+//! binary wire protocol on TCP, a server driving every connection from
+//! one `poll(2)` reactor thread, and a single-writer actor per tenant
+//! that coalesces queued mutations into shared recomputations.
 //!
 //! The `Workspace` (dagwave-core) already makes re-solves O(dirty): only
 //! conflict components touched by a mutation are recomputed, the rest are
@@ -23,17 +22,19 @@
 //!   wavelength-count guarantee (`w = π`, Theorem 1). The
 //!   [`actor::AdmissionPolicy`] decides whether over-budget batches are
 //!   rejected immediately or parked until capacity frees.
-//! * [`server`] — `std::net` listener, a registry thread that owns the
-//!   tenant map (multi-tenant: independent workspaces keyed by a `u64`
-//!   tenant id), channel-based shutdown, and two front-ends selected by
-//!   [`server::FrontEnd`]: one blocking thread per connection, or a
-//!   single-threaded `poll(2)` reactor (unix) whose OS thread count is
-//!   independent of connection count.
-//! * `reactor` (unix) — the evented front-end: nonblocking sockets,
+//! * `server` (unix) — [`Server`], its configuration, and its thread
+//!   topology: the reactor thread owns the listener, every connection, and
+//!   the tenant map (multi-tenant: independent workspaces keyed by a
+//!   `u64` tenant id); the only other threads are one actor per live
+//!   tenant, so OS thread count is independent of connection count.
+//! * `reactor` (unix) — the reactor itself: nonblocking sockets,
 //!   incremental frame decode, pooled buffers, bounded write queues with
 //!   typed `Busy` backpressure.
 //! * [`client`] — a blocking request/response client used by the tests,
 //!   the demo binary, and the bench harness.
+//!
+//! The server is unix-only (it needs `poll(2)`); the protocol, the actor
+//! and the client build everywhere.
 //!
 //! ```no_run
 //! use dagwave_core::{SolveSession, Workspace};
@@ -70,6 +71,7 @@ pub mod client;
 pub mod protocol;
 #[cfg(unix)]
 mod reactor;
+#[cfg(unix)]
 pub mod server;
 
 pub use actor::{
@@ -79,4 +81,5 @@ pub use client::{Client, ClientError};
 pub use protocol::{
     ErrorCode, Request, Response, WireDelta, WireError, WireOp, WireSolution, WireStats,
 };
+#[cfg(unix)]
 pub use server::{FrontEnd, Server, ServerConfig, ServerHandle, WorkspaceFactory};

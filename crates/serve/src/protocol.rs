@@ -299,18 +299,17 @@ pub struct WireDelta {
 }
 
 /// The counters carried by [`Response::Stats`] — the tenant's cumulative
-/// `WorkspaceStats`, the actor's service-side tallies, and the serving
-/// front-end's transport counters.
+/// `WorkspaceStats`, the actor's service-side tallies, and the server's
+/// transport counters.
 ///
 /// On the wire: 19 `u64`s in field order. The payload is
 /// length-extensible in stages: a v1 peer sends 9 counters, early-v2
 /// sends 15, current builds send 19 — decoders accept any stage and zero
 /// the missing tail, so extending the table is never a version bump.
 ///
-/// The four transport counters are measured at the serving front-end:
-/// the whole process under the evented reactor, the serving connection
-/// under the threaded model (where no cross-connection aggregation
-/// exists by design — there is no shared mutable state to count into).
+/// The four transport counters are reactor-wide: they sum over every
+/// connection the server has served, whichever tenant the stats request
+/// names.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Live dipaths in the tenant's family.
@@ -345,9 +344,9 @@ pub struct WireStats {
     pub delta_queries: u64,
     /// Delta queries answered with a full resync (v2).
     pub delta_resyncs: u64,
-    /// Request bytes read off the wire by the serving front-end.
+    /// Request bytes read off the wire, over every connection.
     pub bytes_in: u64,
-    /// Response bytes written to the wire by the serving front-end.
+    /// Response bytes written to the wire, over every connection.
     pub bytes_out: u64,
     /// Requests refused with [`ErrorCode::Busy`] because a bounded queue
     /// (actor command queue) was full at dispatch time.
@@ -638,7 +637,7 @@ const COMPACT_THRESHOLD: usize = READ_CHUNK;
 /// An incremental frame decoder: feed it bytes in arbitrary slices
 /// (single bytes, half frames, three frames at once) and pull complete
 /// frames out as they form. This is the nonblocking counterpart of
-/// [`read_frame`] — the evented front-end's read path — and the two agree
+/// [`read_frame`] — the server reactor's read path — and the two agree
 /// exactly: any byte stream yields the same frame sequence either way.
 ///
 /// Properties:
@@ -1035,7 +1034,7 @@ impl Response {
                     s.delta_resyncs = r.u64()?;
                 }
                 // Early-v2 payloads end here; the transport counters
-                // (added with the evented front-end) read as zero.
+                // (added in v2 with the reactor) read as zero.
                 if !r.is_empty() {
                     s.bytes_in = r.u64()?;
                     s.bytes_out = r.u64()?;

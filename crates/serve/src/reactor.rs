@@ -1,18 +1,18 @@
-//! The evented front-end: a single-threaded `poll(2)` reactor driving
+//! The server's front-end: a single-threaded `poll(2)` reactor driving
 //! every connection through nonblocking sockets.
 //!
 //! # Ownership model
 //!
-//! The reactor runs on the thread that called [`Server::run`] — it spawns
-//! nothing. It owns the listener, every connection (socket, incremental
-//! [`FrameDecoder`], write queue), the buffer pool, and the transport
-//! counters outright; tenant actors stay on their own threads exactly as
-//! under the threaded front-end, reached through the same bounded mpsc
-//! queues. The only things that cross threads are (a) actor commands,
-//! sent non-blocking, and (b) completions, posted back on an mpsc channel
-//! by a callback that then writes one byte into the reactor's self-pipe
-//! to interrupt `poll`. Total OS threads for N connections: the reactor,
-//! the registry, and one per live tenant — independent of N.
+//! The reactor runs on the thread that called [`Server::run`]. It owns
+//! the listener, every connection (socket, incremental [`FrameDecoder`],
+//! write queue), the buffer pool, the transport counters, and the tenant
+//! map outright; the only threads it spawns are the tenant actors, one per
+//! tenant on its first request, reached through bounded mpsc queues. The
+//! only things that cross threads are (a) actor commands, sent
+//! non-blocking, and (b) completions, posted back on an mpsc channel by a
+//! callback that then writes one byte into the reactor's self-pipe to
+//! interrupt `poll`. Total OS threads for N connections: the reactor and
+//! one per live tenant — independent of N.
 //!
 //! # Per-connection state machine
 //!
@@ -41,18 +41,22 @@
 //!
 //! [`Server::run`]: crate::server::Server::run
 
-use std::collections::VecDeque;
+use std::collections::hash_map::Entry as MapEntry;
+use std::collections::{HashMap, VecDeque};
 use std::io::{self, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError, TrySendError};
+use std::sync::mpsc::{self, Receiver, Sender, TrySendError};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 
 use dagwave_paths::PathId;
 
-use crate::actor::{ActorOp, ActorReply, Command, Responder, ServeError, TenantHandle};
+use crate::actor::{spawn_tenant, ActorOp, ActorReply, Command, ServeError, TenantHandle};
 use crate::protocol::{FrameDecoder, Request, Response};
-use crate::server::{self, stats_response, wire_error_code, RegistryCmd, ServerConfig, Transport};
+use crate::server::{
+    self, stats_response, wire_error_code, ServerConfig, Transport, WorkspaceFactory,
+};
 
 /// The raw `poll(2)`/`pipe(2)` surface, confined here so everything else
 /// stays under `deny(unsafe_code)`. Hand-rolled declarations instead of a
@@ -167,22 +171,22 @@ mod sys {
     }
 }
 
-/// Wakes a poll loop from any thread by writing to its self-pipe.
+/// Wakes the poll loop from any thread by writing to its self-pipe.
 /// Cheap to clone; the write end closes when the last clone drops.
 #[derive(Clone)]
-pub(crate) struct Waker {
+struct Waker {
     fd: Arc<std::os::fd::OwnedFd>,
 }
 
 impl Waker {
     /// Interrupt the poll loop (idempotent while a wake is pending).
-    pub(crate) fn wake(&self) {
+    fn wake(&self) {
         sys::wake(self.fd.as_raw_fd());
     }
 }
 
-/// The read end of the self-pipe, owned by whichever loop polls it.
-pub(crate) struct WakeReader {
+/// The read end of the self-pipe, owned by the reactor.
+struct WakeReader {
     fd: std::os::fd::OwnedFd,
 }
 
@@ -192,8 +196,8 @@ impl WakeReader {
     }
 }
 
-/// Build the self-pipe pair shared between a poll loop and its wakers.
-pub(crate) fn wake_pair() -> io::Result<(WakeReader, Waker)> {
+/// Build the self-pipe pair shared between the poll loop and its wakers.
+fn wake_pair() -> io::Result<(WakeReader, Waker)> {
     let (read_end, write_end) = sys::wake_pipe()?;
     Ok((
         WakeReader { fd: read_end },
@@ -201,20 +205,6 @@ pub(crate) fn wake_pair() -> io::Result<(WakeReader, Waker)> {
             fd: Arc::new(write_end),
         },
     ))
-}
-
-/// Block until the listener is readable or the waker fires (used by the
-/// threaded front-end's accept loop in place of a sleep-poll).
-pub(crate) fn wait_accept(listener: &TcpListener, wake: &WakeReader) -> io::Result<()> {
-    let mut fds = [
-        sys::PollFd::new(listener.as_raw_fd(), sys::POLLIN),
-        sys::PollFd::new(wake.fd.as_raw_fd(), sys::POLLIN),
-    ];
-    sys::poll_fds(&mut fds, -1)?;
-    if fds[1].revents != 0 {
-        wake.drain();
-    }
-    Ok(())
 }
 
 /// Recycles read/write buffers across frames and connections so
@@ -254,7 +244,7 @@ impl BufferPool {
 /// guards against a completion addressed to a connection that died and
 /// whose slot was reused.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct ConnToken {
+struct ConnToken {
     slot: usize,
     gen: u64,
 }
@@ -424,65 +414,66 @@ impl Conn {
 }
 
 /// One actor reply routed back to the reactor thread.
-pub(crate) struct Completion {
+struct Completion {
     token: ConnToken,
     reply: ActorReply,
 }
 
 struct Reactor {
     listener: TcpListener,
-    registry: Sender<RegistryCmd>,
-    stop_rx: Receiver<()>,
     wake: WakeReader,
     waker: Waker,
     completions_tx: Sender<Completion>,
     completions_rx: Receiver<Completion>,
     conns: Slab,
     pool: BufferPool,
-    handles: std::collections::HashMap<u64, TenantHandle>,
+    factory: WorkspaceFactory,
+    /// Every tenant created so far. An entry outlives its actor: a tenant
+    /// whose actor died keeps answering `Stopped` instead of being
+    /// silently rebuilt from the factory.
+    tenants: HashMap<u64, (TenantHandle, JoinHandle<()>)>,
     transport: Transport,
     config: ServerConfig,
-    shutdown_sent: bool,
+    /// A `Shutdown` request arrived: finish this round, then stop.
+    shutdown: bool,
 }
 
-/// Drive the evented front-end until shutdown. Runs on the calling
-/// thread; returns once the registry has drained every actor and fired
-/// the stop signal.
-pub(crate) fn run_evented(
+/// Serve until a `Shutdown` request, on the calling thread. Returns once
+/// every tenant actor has exited and its last replies are flushed; the
+/// listener closes on return.
+pub(crate) fn run(
     listener: TcpListener,
-    registry: Sender<RegistryCmd>,
-    stop_rx: Receiver<()>,
-    wake: WakeReader,
-    waker: Waker,
+    factory: WorkspaceFactory,
     config: ServerConfig,
 ) -> io::Result<()> {
     listener.set_nonblocking(true)?;
+    let (wake, waker) = wake_pair()?;
     let (completions_tx, completions_rx) = mpsc::channel();
     let mut r = Reactor {
         listener,
-        registry,
-        stop_rx,
         wake,
         waker,
         completions_tx,
         completions_rx,
         conns: Slab::new(),
         pool: BufferPool::new(),
-        handles: std::collections::HashMap::new(),
+        factory,
+        tenants: HashMap::new(),
         transport: Transport::default(),
         config,
-        shutdown_sent: false,
+        shutdown: false,
     };
-    r.run()?;
+    let served = r.run();
+    r.stop_tenants();
     r.final_drain();
-    Ok(())
+    served
 }
 
 impl Reactor {
     fn run(&mut self) -> io::Result<()> {
         let mut pollfds: Vec<sys::PollFd> = Vec::new();
         let mut tokens: Vec<ConnToken> = Vec::new();
-        loop {
+        while !self.shutdown {
             pollfds.clear();
             tokens.clear();
             pollfds.push(sys::PollFd::new(self.wake.fd.as_raw_fd(), sys::POLLIN));
@@ -521,10 +512,6 @@ impl Reactor {
             while let Ok(c) = self.completions_rx.try_recv() {
                 self.handle_completion(c);
             }
-            match self.stop_rx.try_recv() {
-                Ok(()) | Err(TryRecvError::Disconnected) => return Ok(()),
-                Err(TryRecvError::Empty) => {}
-            }
             if pollfds[1].revents != 0 {
                 self.accept_all();
             }
@@ -535,6 +522,31 @@ impl Reactor {
                 let token = tokens[i - 2];
                 self.handle_conn_event(token, pfd.revents);
             }
+        }
+        Ok(())
+    }
+
+    /// Close every actor's queue by dropping its last handle, then join
+    /// them all: each answers the commands already queued to it and
+    /// exits. Their replies are routed to the waiting connections (any
+    /// frame those connections still had buffered is answered
+    /// `ShuttingDown`).
+    fn stop_tenants(&mut self) {
+        let joins: Vec<JoinHandle<()>> = self
+            .tenants
+            .drain()
+            .map(|(_, (handle, join))| {
+                drop(handle);
+                join
+            })
+            .collect();
+        for join in joins {
+            // A panicked actor already dropped its queued replies; there is
+            // nothing left to route for it.
+            let _ = join.join();
+        }
+        while let Ok(c) = self.completions_rx.try_recv() {
+            self.handle_completion(c);
         }
     }
 
@@ -603,10 +615,7 @@ impl Reactor {
             /// Decoded a request that needs an actor; handled outside the
             /// connection borrow.
             Dispatch(Request),
-            /// `Shutdown` frame: response queued, registry notification
-            /// still owed.
-            Shutdown,
-            /// Handled inline (error response queued); keep decoding.
+            /// Handled inline (response queued); keep decoding.
             Continue,
             /// No progress possible right now.
             Done,
@@ -618,6 +627,7 @@ impl Reactor {
                     pool,
                     transport,
                     config,
+                    shutdown,
                     ..
                 } = self;
                 let Some(conn) = conns.get_mut(token) else {
@@ -634,7 +644,8 @@ impl Reactor {
                             Ok(Request::Shutdown) => {
                                 enqueue(conn, &Response::ShuttingDown, pool, transport);
                                 conn.draining = true;
-                                Step::Shutdown
+                                *shutdown = true;
+                                Step::Done
                             }
                             Ok(req) => Step::Dispatch(req),
                             Err(e) => {
@@ -660,7 +671,7 @@ impl Reactor {
                         Err(e) => {
                             // Header-level error: the stream is
                             // unsynchronized. Answer once, then drain and
-                            // close (mirrors the threaded front-end).
+                            // close.
                             let resp = Response::Error {
                                 code: wire_error_code(&e),
                                 message: e.to_string(),
@@ -674,12 +685,6 @@ impl Reactor {
             };
             match step {
                 Step::Dispatch(req) => self.dispatch(token, req),
-                Step::Shutdown => {
-                    if !self.shutdown_sent {
-                        self.shutdown_sent = true;
-                        let _ = self.registry.send(RegistryCmd::Shutdown);
-                    }
-                }
                 Step::Continue => {}
                 Step::Done => break,
             }
@@ -689,8 +694,8 @@ impl Reactor {
     }
 
     /// Hand one decoded request to its tenant actor without blocking;
-    /// immediate failures (lease error, full or stopped actor queue)
-    /// become typed responses on the spot.
+    /// immediate failures (factory error, full or stopped actor queue,
+    /// shutdown under way) become typed responses on the spot.
     fn dispatch(&mut self, token: ConnToken, req: Request) {
         let (tenant, kind) = match &req {
             Request::Admit { tenant, .. } => (*tenant, PendingKind::Admit),
@@ -701,25 +706,16 @@ impl Reactor {
             Request::Stats { tenant } => (*tenant, PendingKind::Stats),
             Request::Shutdown => return, // handled by the caller
         };
-        let handle = match self.handles.get(&tenant) {
-            Some(h) => h.clone(),
-            None => match server::lease(&self.registry, tenant) {
-                Ok(h) => {
-                    self.handles.insert(tenant, h.clone());
-                    h
-                }
-                Err(e) => {
-                    self.respond(token, &server::error_response(e));
-                    return;
-                }
-            },
-        };
+        if self.shutdown {
+            self.respond(token, &server::error_response(ServeError::Stopped));
+            return;
+        }
         let tx = self.completions_tx.clone();
         let waker = self.waker.clone();
-        let respond = Responder::Callback(Box::new(move |reply| {
+        let respond = Box::new(move |reply| {
             let _ = tx.send(Completion { token, reply });
             waker.wake();
-        }));
+        });
         let cmd = match req {
             Request::Admit { arcs, .. } => Command::Apply {
                 ops: vec![ActorOp::Add(server::to_arc_ids(arcs))],
@@ -738,7 +734,14 @@ impl Reactor {
             Request::Stats { .. } => Command::Stats { respond },
             Request::Shutdown => return,
         };
-        match handle.try_send(cmd) {
+        let sent = match self.tenant(tenant) {
+            Ok(handle) => handle.try_send(cmd),
+            Err(e) => {
+                self.respond(token, &server::error_response(e));
+                return;
+            }
+        };
+        match sent {
             Ok(()) => {
                 if let Some(conn) = self.conns.get_mut(token) {
                     conn.inflight = Some(kind);
@@ -749,13 +752,23 @@ impl Reactor {
                 self.respond(token, &server::error_response(ServeError::Busy));
             }
             Err(TrySendError::Disconnected(_)) => {
-                // The actor is gone (shutdown raced this request); drop
-                // the stale handle so a later lease reflects registry
-                // state.
-                self.handles.remove(&tenant);
                 self.respond(token, &server::error_response(ServeError::Stopped));
             }
         }
+    }
+
+    /// The tenant's actor handle, spawning the actor over a fresh
+    /// workspace from the factory on the tenant's first request. A factory
+    /// error is not cached: the next request for that tenant retries it.
+    fn tenant(&mut self, tenant: u64) -> Result<&TenantHandle, ServeError> {
+        let entry = match self.tenants.entry(tenant) {
+            MapEntry::Occupied(e) => e.into_mut(),
+            MapEntry::Vacant(e) => {
+                let ws = (self.factory)(tenant)?;
+                e.insert(spawn_tenant(ws, self.config.actor_config()))
+            }
+        };
+        Ok(&entry.0)
     }
 
     /// An actor reply came back: shape it into the wire response for the

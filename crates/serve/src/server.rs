@@ -1,72 +1,64 @@
-//! The TCP server: two selectable front-ends over one actor core, a
-//! registry thread owning the tenant actors, and poll-based accept/stop
-//! wakeups (no sleep-polling).
+//! The TCP server: a `poll(2)` reactor over one single-writer actor per
+//! tenant. Unix only — the reactor needs `poll(2)`.
 //!
-//! # Front-ends
-//!
-//! [`FrontEnd::Threaded`] spawns one blocking connection thread per
-//! client — simple, and still the portable default. [`FrontEnd::Evented`]
-//! drives every connection from a single `poll(2)` reactor thread (see
-//! the `reactor` module docs for the state machine and backpressure
-//! story); connection count stops costing OS threads.
-//!
-//! # Thread topology (threaded front-end)
+//! # Thread topology
 //!
 //! ```text
-//! accept loop ──spawns──▶ connection threads ──mpsc──▶ registry thread
-//!      ▲                        │  cached TenantHandle      │ owns map
-//!      └──── stop + waker ◀─────┤                           │ tenant → actor
-//!                               └────── mpsc ──▶ tenant actor threads
+//!                  reactor thread (Server::run caller)
+//!   clients ──TCP──▶ listener, connections, tenant map ──try_send──▶ tenant actor threads
+//!                        ▲                                                 │
+//!                        └──── completion channel + self-pipe wake ◀───────┘
 //! ```
 //!
-//! Under the evented front-end the connection threads collapse into the
-//! reactor running on the [`Server::run`] caller's thread; everything
-//! else is identical. There is no shared mutable state in either mode:
-//! the registry thread *owns* the tenant map (connections lease
-//! [`TenantHandle`]s over a channel and cache them locally), each actor
-//! owns its [`Workspace`], and shutdown is a message plus a self-pipe
-//! wake, not a flag. The accept path blocks in `poll` on the listener and
-//! the wake pipe, so idle servers make zero wakeups and shutdown latency
-//! is one pipe write.
+//! The reactor (see the `reactor` module docs for the state machine and
+//! backpressure story) runs on the thread that called [`Server::run`]. It
+//! owns the listener, every connection, and the tenant map — tenant id →
+//! actor handle and join handle — creating each tenant's actor from the
+//! [`WorkspaceFactory`] on its first request. Each actor owns its
+//! [`Workspace`]. There is no shared mutable state and no other server
+//! thread: OS threads are the reactor plus one per live tenant,
+//! independent of connection count, and an idle server blocks in `poll`
+//! with zero wakeups.
+//!
+//! # Shutdown
+//!
+//! A `Shutdown` request is answered with `ShuttingDown`, then the reactor
+//! drops every actor handle. Each actor drains and answers the commands
+//! already queued to it, then exits; the reactor joins them all, routes
+//! their last replies to the waiting connections, flushes, and only then
+//! returns — closing the listener after every actor thread has exited.
 
-use std::collections::HashMap;
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
+use std::io;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::thread;
 
 use dagwave_core::{CoreError, SolutionDelta, Workspace, WorkspaceStats};
 use dagwave_graph::ArcId;
 use dagwave_paths::PathId;
 
-use crate::actor::{
-    spawn_tenant, ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot,
-    TenantHandle,
-};
-use crate::protocol::{
-    read_frame, ErrorCode, FrameReadError, Request, Response, WireDelta, WireError, WireOp,
-    WireSolution, WireStats, HEADER_LEN,
-};
+use crate::actor::{ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot};
+use crate::protocol::{ErrorCode, Response, WireDelta, WireError, WireOp, WireSolution, WireStats};
 
 /// Builds the initial [`Workspace`] for a tenant id the server has not
-/// seen before. Owned by the registry thread, so `Send` suffices.
+/// seen before. Owned by the reactor thread, so `Send` suffices.
 pub type WorkspaceFactory = Box<dyn Fn(u64) -> Result<Workspace, CoreError> + Send>;
 
-/// Which connection-handling model [`Server::run`] drives.
+/// The connection-handling model. It carries no choice any more — the
+/// `poll(2)` reactor is the only front-end — and is kept only so existing
+/// `ServerConfig { front_end: FrontEnd::Evented, .. }` literals still
+/// build; it goes with the next benchmark revision.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum FrontEnd {
-    /// One blocking OS thread per connection (portable default).
-    #[default]
-    Threaded,
     /// A single-threaded `poll(2)` reactor over nonblocking sockets:
-    /// OS thread count is independent of connection count. Unix only.
+    /// OS thread count is independent of connection count.
+    #[default]
     Evented,
 }
 
 /// Default bound on each tenant actor's command queue.
 pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 /// Default cap on one connection's queued response bytes before the
-/// evented front-end stops reading more requests from it.
+/// reactor stops reading more requests from it.
 pub const DEFAULT_MAX_WRITE_BUFFER: usize = 1 << 20;
 
 /// Server-wide knobs.
@@ -76,16 +68,17 @@ pub struct ServerConfig {
     pub span_budget: Option<usize>,
     /// Max queued mutation batches one `Workspace::apply` may coalesce.
     pub max_coalesce: usize,
-    /// Connection-handling model.
+    /// Carries no choice (see [`FrontEnd`]); removed with the next
+    /// benchmark revision.
     pub front_end: FrontEnd,
     /// What to do with over-budget mutation batches (reject, or park
     /// until capacity frees / a timeout).
     pub admission: AdmissionPolicy,
-    /// Bound on each tenant actor's command queue. Full queues block
-    /// threaded connections and earn evented clients a typed `Busy`.
+    /// Bound on each tenant actor's command queue. A request that finds
+    /// it full is answered with a typed `Busy`.
     pub queue_depth: usize,
-    /// Per-connection cap on queued response bytes (evented front-end):
-    /// past it, the connection stops being read until the client drains.
+    /// Per-connection cap on queued response bytes: past it, the
+    /// connection stops being read until the client drains.
     pub max_write_buffer: usize,
 }
 
@@ -94,7 +87,7 @@ impl Default for ServerConfig {
         ServerConfig {
             span_budget: None,
             max_coalesce: 64,
-            front_end: FrontEnd::Threaded,
+            front_end: FrontEnd::Evented,
             admission: AdmissionPolicy::Reject,
             queue_depth: DEFAULT_QUEUE_DEPTH,
             max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
@@ -102,10 +95,20 @@ impl Default for ServerConfig {
     }
 }
 
-/// Front-end transport counters surfaced through [`WireStats`]. The
-/// evented reactor keeps one instance for the whole process; the threaded
-/// model keeps one per connection (each thread can only see its own
-/// stream).
+impl ServerConfig {
+    /// The per-tenant actor knobs this configuration implies.
+    pub(crate) fn actor_config(&self) -> ActorConfig {
+        ActorConfig {
+            span_budget: self.span_budget,
+            max_coalesce: self.max_coalesce,
+            queue_depth: self.queue_depth,
+            admission: self.admission,
+        }
+    }
+}
+
+/// Transport counters surfaced through [`WireStats`]: one reactor-wide
+/// instance, summed over every connection the server has served.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct Transport {
     pub(crate) bytes_in: u64,
@@ -114,46 +117,14 @@ pub(crate) struct Transport {
     pub(crate) max_write_queue: u64,
 }
 
-pub(crate) enum RegistryCmd {
-    /// Lease (creating on first use) the actor handle for a tenant.
-    Lease {
-        tenant: u64,
-        reply: Sender<Result<TenantHandle, ServeError>>,
-    },
-    /// Stop every actor, signal the accept loop, then exit.
-    Shutdown,
-}
-
-/// Fired by the registry once every actor has drained: a message for the
-/// accept/reactor loop plus a self-pipe write to interrupt its `poll`.
-struct StopSignal {
-    tx: Sender<()>,
-    #[cfg(unix)]
-    waker: crate::reactor::Waker,
-}
-
-impl StopSignal {
-    fn fire(self) {
-        let _ = self.tx.send(());
-        #[cfg(unix)]
-        self.waker.wake();
-    }
-}
-
 /// A bound-but-not-yet-running server. [`Server::run`] blocks the calling
 /// thread until a client sends `Shutdown`; [`Server::spawn`] runs it on
 /// its own thread and returns a joinable handle.
 pub struct Server {
     listener: TcpListener,
     addr: SocketAddr,
-    registry_tx: Sender<RegistryCmd>,
-    registry_join: thread::JoinHandle<()>,
-    stop_rx: Receiver<()>,
+    factory: WorkspaceFactory,
     config: ServerConfig,
-    #[cfg(unix)]
-    wake: crate::reactor::WakeReader,
-    #[cfg(unix)]
-    waker: crate::reactor::Waker,
 }
 
 /// Handle to a server running on its own thread (see [`Server::spawn`]).
@@ -177,8 +148,8 @@ impl ServerHandle {
 }
 
 impl Server {
-    /// Bind a listener and start the tenant registry. `factory` builds
-    /// the workspace for each new tenant id.
+    /// Bind a listener. `factory` builds the workspace for each new
+    /// tenant id.
     pub fn bind(
         addr: impl ToSocketAddrs,
         factory: WorkspaceFactory,
@@ -186,28 +157,11 @@ impl Server {
     ) -> io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        #[cfg(unix)]
-        let (wake, waker) = crate::reactor::wake_pair()?;
-        let (registry_tx, registry_rx) = mpsc::channel();
-        let (stop_tx, stop_rx) = mpsc::channel();
-        let signal = StopSignal {
-            tx: stop_tx,
-            #[cfg(unix)]
-            waker: waker.clone(),
-        };
-        // lint: allow(no-raw-sync): the registry thread replaces a shared-map lock — it owns the tenant map outright, mpsc is the only coupling
-        let join = thread::spawn(move || run_registry(registry_rx, factory, config, signal));
         Ok(Server {
             listener,
             addr,
-            registry_tx,
-            registry_join: join,
-            stop_rx,
+            factory,
             config,
-            #[cfg(unix)]
-            wake,
-            #[cfg(unix)]
-            waker,
         })
     }
 
@@ -216,217 +170,19 @@ impl Server {
         self.addr
     }
 
-    /// Accept and serve connections until a `Shutdown` request arrives,
-    /// then join the registry (which has already stopped every tenant
-    /// actor). Runs the front-end selected in [`ServerConfig`] on the
-    /// calling thread.
+    /// Accept and serve connections on the calling thread until a
+    /// `Shutdown` request arrives; returns once every tenant actor has
+    /// exited and the listener is closed.
     pub fn run(self) -> io::Result<()> {
-        match self.config.front_end {
-            FrontEnd::Threaded => self.run_threaded(),
-            FrontEnd::Evented => self.run_evented(),
-        }
-    }
-
-    #[cfg(unix)]
-    fn run_evented(self) -> io::Result<()> {
-        let Server {
-            listener,
-            registry_tx,
-            registry_join,
-            stop_rx,
-            config,
-            wake,
-            waker,
-            ..
-        } = self;
-        let result =
-            crate::reactor::run_evented(listener, registry_tx, stop_rx, wake, waker, config);
-        let _ = registry_join.join();
-        result
-    }
-
-    #[cfg(not(unix))]
-    fn run_evented(self) -> io::Result<()> {
-        Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the evented front-end needs poll(2); use FrontEnd::Threaded on this platform",
-        ))
-    }
-
-    fn run_threaded(self) -> io::Result<()> {
-        // The listener stays nonblocking; between accepts the loop parks
-        // in poll(2) on the listener and the stop waker's pipe, so an
-        // idle server makes zero wakeups and shutdown interrupts the wait
-        // immediately.
-        self.listener.set_nonblocking(true)?;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let registry = self.registry_tx.clone();
-                    // Connections are blocking even though the listener is
-                    // not (accepted sockets inherit nonblocking on some
-                    // platforms).
-                    stream.set_nonblocking(false)?;
-                    // lint: allow(no-raw-sync): thread-per-connection is the server's documented concurrency model; the thread owns its stream outright
-                    thread::spawn(move || serve_connection(stream, registry));
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    match self.stop_rx.try_recv() {
-                        Ok(()) | Err(TryRecvError::Disconnected) => break,
-                        Err(TryRecvError::Empty) => {
-                            #[cfg(unix)]
-                            crate::reactor::wait_accept(&self.listener, &self.wake)?;
-                            #[cfg(not(unix))]
-                            // lint: allow(no-raw-sync): non-unix fallback idle poll; 2ms bounds shutdown latency without busy-spinning
-                            thread::sleep(std::time::Duration::from_millis(2));
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        let _ = self.registry_join.join();
-        Ok(())
+        crate::reactor::run(self.listener, self.factory, self.config)
     }
 
     /// Run the server on its own thread; returns once it is accepting.
     pub fn spawn(self) -> ServerHandle {
         let addr = self.addr;
-        // lint: allow(no-raw-sync): hands the accept loop its own thread; the handle's join() is the only coupling
+        // lint: allow(no-raw-sync): hands the reactor its own thread; the handle's join() is the only coupling
         let join = thread::spawn(move || self.run());
         ServerHandle { addr, join }
-    }
-}
-
-fn run_registry(
-    rx: Receiver<RegistryCmd>,
-    factory: WorkspaceFactory,
-    config: ServerConfig,
-    signal: StopSignal,
-) {
-    let actor_config = ActorConfig {
-        span_budget: config.span_budget,
-        max_coalesce: config.max_coalesce,
-        queue_depth: config.queue_depth,
-        admission: config.admission,
-    };
-    let mut tenants: HashMap<u64, (TenantHandle, thread::JoinHandle<()>)> = HashMap::new();
-    while let Ok(cmd) = rx.recv() {
-        match cmd {
-            RegistryCmd::Lease { tenant, reply } => {
-                let leased = match tenants.get(&tenant) {
-                    Some((handle, _)) => Ok(handle.clone()),
-                    None => match factory(tenant) {
-                        Ok(ws) => {
-                            let (handle, join) = spawn_tenant(ws, actor_config);
-                            tenants.insert(tenant, (handle.clone(), join));
-                            Ok(handle)
-                        }
-                        Err(e) => Err(ServeError::Core(e)),
-                    },
-                };
-                let _ = reply.send(leased);
-            }
-            RegistryCmd::Shutdown => break,
-        }
-    }
-    // Drain the actors before signalling the accept loop, so the port
-    // closes only after every workspace thread has exited.
-    for (_, (handle, join)) in tenants {
-        handle.stop();
-        let _ = join.join();
-    }
-    signal.fire();
-}
-
-/// Per-connection loop (threaded front-end): read frames, dispatch,
-/// reply. Header-level wire errors leave the stream unsynchronized —
-/// reply once, then close.
-fn serve_connection(mut stream: TcpStream, registry: Sender<RegistryCmd>) {
-    let mut handles: HashMap<u64, TenantHandle> = HashMap::new();
-    let mut transport = Transport::default();
-    loop {
-        let (op, payload) = match read_frame(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return, // clean close between frames
-            Err(FrameReadError::Io(_)) => return,
-            Err(FrameReadError::Wire(e)) => {
-                let resp = Response::Error {
-                    code: wire_error_code(&e),
-                    message: e.to_string(),
-                };
-                let _ = send(&mut stream, &resp, &mut transport);
-                return;
-            }
-        };
-        transport.bytes_in += (HEADER_LEN + payload.len()) as u64;
-        let request = match Request::decode(op, &payload) {
-            Ok(req) => req,
-            Err(e) => {
-                // The frame was fully consumed, so the stream is still
-                // synchronized: report and keep serving.
-                let resp = Response::Error {
-                    code: wire_error_code(&e),
-                    message: e.to_string(),
-                };
-                if send(&mut stream, &resp, &mut transport).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let shutdown = matches!(request, Request::Shutdown);
-        let response = dispatch(request, &registry, &mut handles, &transport);
-        if send(&mut stream, &response, &mut transport).is_err() {
-            return;
-        }
-        if shutdown {
-            let _ = registry.send(RegistryCmd::Shutdown);
-            return;
-        }
-    }
-}
-
-fn send(stream: &mut TcpStream, resp: &Response, transport: &mut Transport) -> io::Result<()> {
-    let frame = resp.to_frame();
-    stream.write_all(&frame)?;
-    transport.bytes_out += frame.len() as u64;
-    stream.flush()
-}
-
-fn dispatch(
-    request: Request,
-    registry: &Sender<RegistryCmd>,
-    handles: &mut HashMap<u64, TenantHandle>,
-    transport: &Transport,
-) -> Response {
-    match request {
-        Request::Shutdown => Response::ShuttingDown,
-        Request::Admit { tenant, arcs } => with_tenant(registry, handles, tenant, |h| {
-            let ids = h.apply(vec![ActorOp::Add(to_arc_ids(arcs))])?;
-            Ok(admitted_response(ids))
-        }),
-        Request::Retire { tenant, id } => with_tenant(registry, handles, tenant, |h| {
-            h.apply(vec![ActorOp::Remove(PathId(id))])?;
-            Ok(Response::Retired)
-        }),
-        Request::Batch { tenant, ops } => with_tenant(registry, handles, tenant, |h| {
-            let added = h.apply(to_actor_ops(ops))?;
-            Ok(Response::Applied {
-                added: added.into_iter().map(|id| id.0).collect(),
-            })
-        }),
-        Request::Query { tenant } => with_tenant(registry, handles, tenant, |h| {
-            Ok(solution_response(&h.query()?))
-        }),
-        Request::QueryDelta { tenant, since } => with_tenant(registry, handles, tenant, |h| {
-            Ok(delta_response(&h.query_delta(since)?))
-        }),
-        Request::Stats { tenant } => with_tenant(registry, handles, tenant, |h| {
-            let (ws, actor) = h.stats()?;
-            Ok(stats_response(&ws, &actor, transport))
-        }),
     }
 }
 
@@ -472,7 +228,7 @@ pub(crate) fn delta_response(d: &SolutionDelta) -> Response {
     })
 }
 
-/// Merge workspace, actor, and front-end transport counters into the
+/// Merge workspace, actor, and reactor-wide transport counters into the
 /// stats wire response.
 pub(crate) fn stats_response(
     ws: &WorkspaceStats,
@@ -500,48 +256,6 @@ pub(crate) fn stats_response(
         busy_rejections: transport.busy_rejections,
         max_write_queue: transport.max_write_queue,
     })
-}
-
-/// Lease (and locally cache) the tenant's handle, then run `f`; every
-/// [`ServeError`] becomes a typed [`Response::Error`].
-fn with_tenant(
-    registry: &Sender<RegistryCmd>,
-    handles: &mut HashMap<u64, TenantHandle>,
-    tenant: u64,
-    f: impl FnOnce(&TenantHandle) -> Result<Response, ServeError>,
-) -> Response {
-    let handle = match handles.get(&tenant) {
-        Some(h) => h.clone(),
-        None => match lease(registry, tenant) {
-            Ok(h) => {
-                handles.insert(tenant, h.clone());
-                h
-            }
-            Err(e) => return error_response(e),
-        },
-    };
-    match f(&handle) {
-        Ok(resp) => resp,
-        Err(e) => {
-            if matches!(e, ServeError::Stopped) {
-                // The actor is gone (shutdown raced this request); drop the
-                // stale handle so a later lease reflects registry state.
-                handles.remove(&tenant);
-            }
-            error_response(e)
-        }
-    }
-}
-
-pub(crate) fn lease(
-    registry: &Sender<RegistryCmd>,
-    tenant: u64,
-) -> Result<TenantHandle, ServeError> {
-    let (reply, rx) = mpsc::channel();
-    registry
-        .send(RegistryCmd::Lease { tenant, reply })
-        .map_err(|_| ServeError::Stopped)?;
-    rx.recv().map_err(|_| ServeError::Stopped)?
 }
 
 pub(crate) fn to_arc_ids(arcs: Vec<u32>) -> Vec<ArcId> {

@@ -15,8 +15,8 @@
 //! * [`gen`] — figure/witness/random instance generators.
 //! * [`route`] — the end-to-end routing-and-wavelength-assignment pipeline.
 //! * [`serve`] — the TCP service layer: versioned binary wire protocol,
-//!   single-writer coalescing actor per tenant, thread-per-connection
-//!   server over the incremental [`Workspace`].
+//!   single-writer coalescing actor per tenant, and a `poll(2)` reactor
+//!   server (unix) over the incremental [`Workspace`].
 //!
 //! ```
 //! use dagwave::{graph::Digraph, paths::{Dipath, DipathFamily}, SolveSession};
@@ -61,8 +61,6 @@ pub use dagwave_paths as paths;
 pub use dagwave_route as route;
 pub use dagwave_serve as serve;
 
-#[allow(deprecated)]
-pub use dagwave_core::WavelengthSolver;
 pub use dagwave_core::{
     BackendAttempt, BackendKind, ColorTable, DecomposePolicy, Decomposition, Epoch, Instance,
     Mutation, Policy, Resolve, ShardOutcome, Solution, SolutionDelta, SolveRequest, SolveSession,
