@@ -8,6 +8,8 @@
 //! * `--speedup` — run the comparison suite (the four pool-backed hot
 //!   paths sequential-vs-parallel, plus decomposed-vs-monolithic solving
 //!   on the federated multi-component family) and print the ratio table;
+//! * `--churn`, `--service`, `--connections` — run only the D3, D4 or D6
+//!   rows, with their in-row assertions;
 //! * `--experiments [path]` — regenerate the paper table and the speedup
 //!   table, rewrite the corresponding sections of `EXPERIMENTS.md`
 //!   (default path), and append a line to its run history;
@@ -25,7 +27,8 @@
 use dagwave_bench::peak_rss_cell;
 use dagwave_core::theorem1::{self, KempeStrategy, PeelOrder};
 use dagwave_core::{
-    bounds, internal, theorem6, DecomposePolicy, Mutation, SolveSession, SolverBuilder, Workspace,
+    bounds, internal, theorem6, DecomposePolicy, Epoch, Mutation, SolveSession, SolverBuilder,
+    Workspace,
 };
 use dagwave_gen::{compose, figures, havet, random, theorem2};
 use dagwave_graph::reach;
@@ -60,6 +63,7 @@ fn main() {
         }
         Some("--service") => service_row(),
         Some("--connections") => connections_row(),
+        Some("--churn") => churn_rows(),
         Some("--experiments") => write_experiments(&path(1)),
         Some("--baseline") => write_baseline(&path(1)),
         Some("--check") => {
@@ -70,7 +74,7 @@ fn main() {
         Some(other) => {
             eprintln!(
                 "unknown mode {other:?}; expected --speedup, --service, \
-                 --connections, --experiments, --baseline, or --check"
+                 --connections, --churn, --experiments, --baseline, or --check"
             );
             std::process::exit(2);
         }
@@ -405,155 +409,8 @@ fn paper_report() {
         );
     }
 
-    // D3 — million-path throughput: per-step incremental cost is bounded by
-    // the dirty shards (O(dirty)), not the instance (O(|P|)). Measured as
-    // per-step latency of a persistent Workspace vs a from-scratch solve
-    // after every step, at two instance scales; the incremental side must
-    // stay ≥10× cheaper at the large scale and the remove+re-add scenario
-    // must adopt its old shard from the fingerprint reuse pool.
-    {
-        let steps = 8usize;
-        let reps = 3usize;
-        let mut inc_per_step = Vec::new();
-        let mut scratch_per_step = Vec::new();
-        for k in [256usize, 4096] {
-            let work = compose::churn(13, k, steps);
-            let session = SolverBuilder::new()
-                .decompose(DecomposePolicy::Always)
-                .build();
-
-            let (scratch_ms, scratch_spans) = time_ms_with(reps, || {
-                let mut mirror = PathFamily::from_family(&work.instance.family);
-                let mut spans = Vec::with_capacity(steps);
-                for op in &work.script {
-                    match op {
-                        Mutation::Remove(id) => {
-                            mirror.remove(*id).expect("script ids are live");
-                        }
-                        Mutation::Add(p) => {
-                            mirror.insert(p.clone());
-                        }
-                    }
-                    let (dense, _) = mirror.to_dense();
-                    spans.push(
-                        session
-                            .solve(&work.instance.graph, &dense)
-                            .unwrap()
-                            .num_colors,
-                    );
-                }
-                spans
-            });
-            // Steady state: a service mutates an already-open,
-            // already-solved workspace, so construction and the initial
-            // full solve stay outside the timed region — one pre-solved
-            // workspace is handed to each rep.
-            let mut pool: Vec<Workspace> = (0..reps)
-                .map(|_| {
-                    let mut ws = Workspace::new(
-                        session.clone(),
-                        work.instance.graph.clone(),
-                        work.instance.family.clone(),
-                    )
-                    .expect("churn instance is a DAG");
-                    ws.solution().unwrap();
-                    ws
-                })
-                .collect();
-            let (inc_ms, (inc_spans, resolved)) = time_ms_with(reps, || {
-                let mut ws = pool.pop().expect("one pre-solved workspace per rep");
-                let mut spans = Vec::with_capacity(steps);
-                let mut resolved = 0usize;
-                for op in &work.script {
-                    ws.apply([op.clone()]).unwrap();
-                    let sol = ws.solution().unwrap();
-                    resolved += sol
-                        .resolve
-                        .expect("workspace stamps resolve")
-                        .shards_resolved;
-                    spans.push(sol.num_colors);
-                }
-                (spans, resolved)
-            });
-            assert_eq!(inc_spans, scratch_spans, "per-step spans agree (k={k})");
-            // The truly flat quantity: how many shards actually re-solve
-            // per step is bounded by what the mutation touched, at every
-            // scale.
-            assert!(
-                resolved <= 2 * steps,
-                "O(dirty) solve work per step (k={k}): {resolved} re-solves over {steps} steps"
-            );
-            inc_per_step.push(inc_ms / steps as f64);
-            scratch_per_step.push(scratch_ms / steps as f64);
-
-            // The remove+re-add scenario: identical content reconstitutes
-            // the shard, so the fingerprint pool adopts its solve and
-            // nothing recomputes.
-            let mut ws = Workspace::new(
-                session.clone(),
-                work.instance.graph.clone(),
-                work.instance.family.clone(),
-            )
-            .expect("churn instance is a DAG");
-            ws.solution().unwrap();
-            let victim = ws.family().ids().next().expect("family is non-empty");
-            let copy = ws.family().get(victim).expect("victim is live").clone();
-            ws.apply([Mutation::Remove(victim), Mutation::Add(copy)])
-                .unwrap();
-            let readd = ws.solution().unwrap().resolve.expect("workspace resolve");
-            assert_eq!(
-                readd.shards_resolved, 0,
-                "remove+re-add must adopt the cached shard (k={k})"
-            );
-            assert!(readd.shards_reused > 0, "k={k}");
-
-            let ratio = scratch_ms / inc_ms.max(1e-9);
-            if k == 4096 {
-                assert!(
-                    ratio >= 10.0,
-                    "incremental must be ≥10× cheaper per step at k=4096, got {ratio:.1}×"
-                );
-            }
-            row(
-                "D3 million-path churn",
-                &format!(
-                    "churn({k}), |P|={}, {steps} steps",
-                    work.instance.family.len()
-                ),
-                "per-step cost O(dirty), ≥10× vs scratch",
-                &format!(
-                    "inc {:.3} ms/step vs scratch {:.3} ms/step ({ratio:.0}×), \
-                     dirty re-solves Σ={resolved}, re-add reused={}, peakRSS={} MiB",
-                    inc_ms / steps as f64,
-                    scratch_ms / steps as f64,
-                    readd.shards_reused,
-                    peak_rss_cell()
-                ),
-            );
-        }
-        // Roughly flat in k: the dirty solve work per step is constant at
-        // both scales (asserted above), and what remains of a step —
-        // patching the caches plus materializing the O(|P|)-sized Solution
-        // the query returns — must grow strictly slower than the instance
-        // (from-scratch, which redoes O(|P|) solver work per step, is the
-        // linear yardstick measured in the same run).
-        let inc_growth = inc_per_step[1] / inc_per_step[0].max(1e-9);
-        let scratch_growth = scratch_per_step[1] / scratch_per_step[0].max(1e-9);
-        // The 1.25 headroom absorbs timing noise: the incremental side's
-        // absolute per-step cost is sub-millisecond at the small scale, so
-        // its growth ratio jitters by tens of percent run to run, while
-        // the O(dirty) bound above is the noise-free form of the claim.
-        assert!(
-            inc_growth < scratch_growth * 1.25,
-            "per-step incremental cost must grow sublinearly in k: \
-             inc {:.3}→{:.3} ms ({inc_growth:.1}×) vs scratch \
-             {:.1}→{:.1} ms ({scratch_growth:.1}×) when |P| grows 16×",
-            inc_per_step[0],
-            inc_per_step[1],
-            scratch_per_step[0],
-            scratch_per_step[1]
-        );
-    }
+    // D3 — million-path throughput, full-snapshot and delta paths.
+    churn_rows();
 
     // D4 — the service layer under concurrent writers: a loopback TCP
     // server over the same incremental engine, 8 writer connections
@@ -782,6 +639,229 @@ impl Comparison {
 
     fn ratio(&self) -> f64 {
         self.seq_ms / self.par_ms.max(1e-9)
+    }
+}
+
+/// D3 — million-path throughput: per-step incremental cost is bounded by
+/// the dirty shards (O(dirty)), not the instance (O(|P|)). Measured as
+/// per-step latency of a persistent Workspace vs a from-scratch solve
+/// after every step, at two instance scales; the incremental side must
+/// stay ≥10× cheaper at the large scale and the remove+re-add scenario
+/// must adopt its old shard from the fingerprint reuse pool.
+///
+/// The delta path is what a served client rides: `apply` then
+/// `delta_since` per step, no snapshot materialized. Its per-step cost
+/// must stay within 2× while |P| grows 16× — every O(shards) or O(live)
+/// pass left in a churn step shows up here — and it must re-solve exactly
+/// the shards the snapshot path does, with the same per-step spans.
+/// Also runnable alone as `report --churn`.
+fn churn_rows() {
+    let steps = 8usize;
+    let reps = 3usize;
+    // Best of more reps on the delta path: its per-step cost is tens of
+    // microseconds, so its growth ratio needs the quieter minimum.
+    let delta_reps = 5usize;
+    let mut inc_per_step = Vec::new();
+    let mut scratch_per_step = Vec::new();
+    let mut delta_rows = Vec::new();
+    for k in [256usize, 4096] {
+        let work = compose::churn(13, k, steps);
+        let session = SolverBuilder::new()
+            .decompose(DecomposePolicy::Always)
+            .build();
+
+        let (scratch_ms, scratch_spans) = time_ms_with(reps, || {
+            let mut mirror = PathFamily::from_family(&work.instance.family);
+            let mut spans = Vec::with_capacity(steps);
+            for op in &work.script {
+                match op {
+                    Mutation::Remove(id) => {
+                        mirror.remove(*id).expect("script ids are live");
+                    }
+                    Mutation::Add(p) => {
+                        mirror.insert(p.clone());
+                    }
+                }
+                let (dense, _) = mirror.to_dense();
+                spans.push(
+                    session
+                        .solve(&work.instance.graph, &dense)
+                        .unwrap()
+                        .num_colors,
+                );
+            }
+            spans
+        });
+        // Steady state: a service mutates an already-open,
+        // already-solved workspace, so construction, the initial full
+        // solve and the final drop stay outside the timed region — one
+        // pre-solved workspace is handed to each rep and parked after it
+        // (dropping a k=4096 workspace costs ~10 ms, more than a step).
+        let mut pool: Vec<Workspace> = (0..reps)
+            .map(|_| {
+                let mut ws = Workspace::new(
+                    session.clone(),
+                    work.instance.graph.clone(),
+                    work.instance.family.clone(),
+                )
+                .expect("churn instance is a DAG");
+                ws.solution().unwrap();
+                ws
+            })
+            .collect();
+        let mut done = Vec::with_capacity(reps.max(delta_reps));
+        let (inc_ms, (inc_spans, resolved)) = time_ms_with(reps, || {
+            let mut ws = pool.pop().expect("one pre-solved workspace per rep");
+            let mut spans = Vec::with_capacity(steps);
+            let mut resolved = 0usize;
+            for op in &work.script {
+                ws.apply([op.clone()]).unwrap();
+                let sol = ws.solution().unwrap();
+                resolved += sol
+                    .resolve
+                    .expect("workspace stamps resolve")
+                    .shards_resolved;
+                spans.push(sol.num_colors);
+            }
+            done.push(ws);
+            (spans, resolved)
+        });
+        done.clear();
+        assert_eq!(inc_spans, scratch_spans, "per-step spans agree (k={k})");
+        // The truly flat quantity: how many shards actually re-solve
+        // per step is bounded by what the mutation touched, at every
+        // scale.
+        assert!(
+            resolved <= 2 * steps,
+            "O(dirty) solve work per step (k={k}): {resolved} re-solves over {steps} steps"
+        );
+        inc_per_step.push(inc_ms / steps as f64);
+        scratch_per_step.push(scratch_ms / steps as f64);
+
+        // The delta path, from the same steady state: one pre-solved,
+        // synced workspace per rep, parked after it.
+        let mut pool: Vec<(Workspace, Epoch)> = (0..delta_reps)
+            .map(|_| {
+                let mut ws = Workspace::new(
+                    session.clone(),
+                    work.instance.graph.clone(),
+                    work.instance.family.clone(),
+                )
+                .expect("churn instance is a DAG");
+                let synced = ws.delta_since(Epoch::default()).unwrap().epoch;
+                (ws, synced)
+            })
+            .collect();
+        let (delta_ms, (delta_spans, delta_resolved)) = time_ms_with(delta_reps, || {
+            let (mut ws, mut synced) = pool.pop().expect("one synced workspace per rep");
+            let before = ws.stats().shards_resolved;
+            let mut spans = Vec::with_capacity(steps);
+            for op in &work.script {
+                ws.apply([op.clone()]).unwrap();
+                let d = ws.delta_since(synced).unwrap();
+                synced = d.epoch;
+                spans.push(d.span);
+            }
+            let resolved = ws.stats().shards_resolved - before;
+            done.push(ws);
+            (spans, resolved)
+        });
+        done.clear();
+        assert_eq!(delta_spans, scratch_spans, "delta-path spans (k={k})");
+        assert_eq!(
+            delta_resolved, resolved,
+            "the delta path re-solves exactly the snapshot path's shards (k={k})"
+        );
+        delta_rows.push((k, work.instance.family.len(), delta_ms * 1e3 / steps as f64));
+
+        // The remove+re-add scenario: identical content reconstitutes
+        // the shard, so the fingerprint pool adopts its solve and
+        // nothing recomputes.
+        let mut ws = Workspace::new(
+            session.clone(),
+            work.instance.graph.clone(),
+            work.instance.family.clone(),
+        )
+        .expect("churn instance is a DAG");
+        ws.solution().unwrap();
+        let victim = ws.family().ids().next().expect("family is non-empty");
+        let copy = ws.family().get(victim).expect("victim is live").clone();
+        ws.apply([Mutation::Remove(victim), Mutation::Add(copy)])
+            .unwrap();
+        let readd = ws.solution().unwrap().resolve.expect("workspace resolve");
+        assert_eq!(
+            readd.shards_resolved, 0,
+            "remove+re-add must adopt the cached shard (k={k})"
+        );
+        assert!(readd.shards_reused > 0, "k={k}");
+
+        let ratio = scratch_ms / inc_ms.max(1e-9);
+        if k == 4096 {
+            assert!(
+                ratio >= 10.0,
+                "incremental must be ≥10× cheaper per step at k=4096, got {ratio:.1}×"
+            );
+        }
+        row(
+            "D3 million-path churn",
+            &format!(
+                "churn({k}), |P|={}, {steps} steps",
+                work.instance.family.len()
+            ),
+            "per-step cost O(dirty), ≥10× vs scratch",
+            &format!(
+                "inc {:.3} ms/step vs scratch {:.3} ms/step ({ratio:.0}×), \
+                     dirty re-solves Σ={resolved}, re-add reused={}, peakRSS={} MiB",
+                inc_ms / steps as f64,
+                scratch_ms / steps as f64,
+                readd.shards_reused,
+                peak_rss_cell()
+            ),
+        );
+    }
+    // Roughly flat in k: the dirty solve work per step is constant at
+    // both scales (asserted above), and what remains of a step —
+    // patching the caches plus materializing the O(|P|)-sized Solution
+    // the query returns — must grow strictly slower than the instance
+    // (from-scratch, which redoes O(|P|) solver work per step, is the
+    // linear yardstick measured in the same run).
+    let inc_growth = inc_per_step[1] / inc_per_step[0].max(1e-9);
+    let scratch_growth = scratch_per_step[1] / scratch_per_step[0].max(1e-9);
+    // The 1.25 headroom absorbs timing noise: the incremental side's
+    // absolute per-step cost is sub-millisecond at the small scale, so
+    // its growth ratio jitters by tens of percent run to run, while
+    // the O(dirty) bound above is the noise-free form of the claim.
+    assert!(
+        inc_growth < scratch_growth * 1.25,
+        "per-step incremental cost must grow sublinearly in k: \
+             inc {:.3}→{:.3} ms ({inc_growth:.1}×) vs scratch \
+             {:.1}→{:.1} ms ({scratch_growth:.1}×) when |P| grows 16×",
+        inc_per_step[0],
+        inc_per_step[1],
+        scratch_per_step[0],
+        scratch_per_step[1]
+    );
+    // The delta path carries no O(|P|) snapshot, so nothing excuses its
+    // growth: ≤ 2× over 16× more dipaths and shards.
+    let delta_growth = delta_rows[1].2 / delta_rows[0].2.max(1e-9);
+    assert!(
+        delta_growth <= 2.0,
+        "apply + delta_since per step must stay within 2× when |P| grows 16×: \
+         {:.1} µs at k=256 vs {:.1} µs at k=4096 ({delta_growth:.2}×)",
+        delta_rows[0].2,
+        delta_rows[1].2
+    );
+    for (k, paths, us) in delta_rows {
+        row(
+            "D3 delta-path churn",
+            &format!("churn({k}), |P|={paths}, {steps} steps"),
+            "apply+delta per step ≤2× over 16× |P|",
+            &format!(
+                "{us:.1} µs/step, growth {delta_growth:.2}×, re-solves = snapshot path, \
+                 spans = scratch, peakRSS={} MiB",
+                peak_rss_cell()
+            ),
+        );
     }
 }
 

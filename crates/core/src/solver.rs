@@ -294,36 +294,32 @@ impl SolveSession {
     /// Checks run cheapest-first against the already-validated context
     /// (no graph pass is duplicated on the fall-through).
     fn decomposition_plan(&self, ctx: &InstanceContext<'_>) -> Option<Vec<Vec<PathId>>> {
-        self.decomposition_plan_with(ctx, || conflict_components(ctx.graph, ctx.family))
+        let scan = || conflict_components(ctx.graph, ctx.family);
+        let mut components = None;
+        let shard = self.decompose_gate(ctx, || components.get_or_insert_with(scan).len());
+        shard.then(|| components.unwrap_or_else(scan))
     }
 
-    /// [`SolveSession::decomposition_plan`] with the component scan
-    /// injected: the one-shot path scans from scratch, the incremental
-    /// [`crate::workspace::Workspace`] supplies its cached components —
-    /// both run through this one gate, so the shard/monolithic decision
-    /// can never diverge between the two paths.
-    pub(crate) fn decomposition_plan_with<F>(
-        &self,
-        ctx: &InstanceContext<'_>,
-        components: F,
-    ) -> Option<Vec<Vec<PathId>>>
+    /// The shard/monolithic decision behind
+    /// [`SolveSession::decomposition_plan`], with the component count
+    /// injected (and consulted only when the policy needs it): the one-shot
+    /// path scans from scratch, the incremental
+    /// [`crate::workspace::Workspace`] reads the size of its cached
+    /// partition — both run through this one gate, so the decision can
+    /// never diverge between the two paths.
+    pub(crate) fn decompose_gate<F>(&self, ctx: &InstanceContext<'_>, component_count: F) -> bool
     where
-        F: FnOnce() -> Vec<Vec<PathId>>,
+        F: FnOnce() -> usize,
     {
         let auto = match self.request.decompose {
-            DecomposePolicy::Off => return None,
+            DecomposePolicy::Off => return false,
             DecomposePolicy::Auto { min_paths } => {
                 if ctx.family.len() < min_paths.max(1) {
-                    return None;
+                    return false;
                 }
                 true
             }
-            DecomposePolicy::Always => {
-                if ctx.family.is_empty() {
-                    return None;
-                }
-                false
-            }
+            DecomposePolicy::Always => return !ctx.family.is_empty(),
         };
         // Auto declines when the Auto backend policy would take the
         // Theorem 1 fast path anyway: on an internal-cycle-free host the
@@ -332,14 +328,10 @@ impl SolveSession {
         // Pinned/Portfolio policies still shard (smaller per-shard graphs
         // genuinely help heuristic and exact backends), as does `Always`.
         if auto && self.request.policy == Policy::Auto && ctx.class == DagClass::InternalCycleFree {
-            return None;
+            return false;
         }
-        let components = components();
-        if auto && components.len() <= 1 {
-            // Auto only pays the shard machinery when it actually splits.
-            return None;
-        }
-        Some(components)
+        // Auto only pays the shard machinery when it actually splits.
+        component_count() > 1
     }
 
     /// Solve the shards concurrently and merge with a shared palette.
@@ -359,7 +351,12 @@ impl SolveSession {
         // First shard error wins, in shard order — deterministic.
         let shards: Vec<(Vec<PathId>, Solution)> = self
             .shard_session()
-            .solve_components(ctx.graph, ctx.family, &components)
+            .solve_components(
+                ctx.graph,
+                ctx.family,
+                &components,
+                &mut ExtractScratch::new(),
+            )
             .into_iter()
             .collect::<Result<_, _>>()?;
         Ok(merge_shards(ctx, shards))
@@ -380,23 +377,24 @@ impl SolveSession {
     /// [`SubInstance`] and solved with its original ids recorded; results
     /// come back in component order regardless of completion order, so the
     /// caller's merge is bit-identical at every thread budget. Shared by
-    /// the one-shot decomposed solve and the incremental workspace (which
-    /// passes only its dirty components).
+    /// the one-shot decomposed solve (a fresh `scratch` per solve) and the
+    /// incremental workspace (its dirty components only, through the one
+    /// scratch it keeps across refreshes).
     pub(crate) fn solve_components(
         &self,
         g: &dagwave_graph::Digraph,
         family: &DipathFamily,
         components: &[Vec<PathId>],
+        scratch: &mut ExtractScratch,
     ) -> Vec<Result<(Vec<PathId>, Solution), CoreError>> {
         // Extraction is a near-linear renumbering pass; it runs sequentially
         // through ONE shared scratch (flat host-indexed tables, stamped per
         // shard — see [`ExtractScratch`]) so every shard reuses the same
         // buffers instead of sorting and binary-searching its own. Only the
         // solves — the actual work — fan out onto the pool.
-        let mut scratch = ExtractScratch::new();
         let subs: Vec<SubInstance> = components
             .iter()
-            .map(|members| SubInstance::extract_with(g, family, members, &mut scratch))
+            .map(|members| SubInstance::extract_with(g, family, members, scratch))
             .collect();
         let mut slots: Vec<ShardSlot> = components.iter().map(|_| None).collect();
         rayon::scope(|s| {

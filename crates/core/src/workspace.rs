@@ -29,6 +29,25 @@
 //! dipaths (e.g. remove + re-add) adopts its old solve from a reuse pool
 //! instead of recomputing — [`Resolve::shards_reused`] counts adoptions.
 //!
+//! Bookkeeping is O(dirty) as well: nothing in a mutation or a refresh
+//! walks every shard or every live dipath. The shards sit in a map keyed
+//! by each shard's smallest stable member, so iterating it yields the
+//! canonical shard order without sorting, and a slot table maps every
+//! live stable id to its shard's key — rewritten only for the members of
+//! the shards a batch drops and re-derives, so finding the shards a
+//! mutation dirties is a table read. A refresh solves and patches only the
+//! shards derived since the last one (the *fresh* set), feeds the decompose
+//! gate the shard count instead of the dense component lists, translates
+//! only the fresh shards' members to dense ranks, extracts them through
+//! one long-lived `ExtractScratch`, and reads the first failing shard and
+//! the merged span from a set of failed keys and a per-span shard count.
+//! What is still O(live): [`Workspace::solution`]'s materialization (the
+//! snapshot is instance-sized), [`Workspace::components`], a full resync
+//! from [`Workspace::delta_since`], the monolithic path when the gate
+//! declines to shard, and the first sharded refresh after a monolithic one
+//! (it re-patches every shard) — plus, per mutation, the dense view's
+//! pointer-sized memmove inside [`PathFamily`].
+//!
 //! The *query* side is O(dirty) too. Every refresh patches a persistent
 //! [`ColorTable`] (structurally-shared `Arc` pages keyed by stable id)
 //! with only the re-solved shards' colors, so [`Workspace::span`],
@@ -90,7 +109,9 @@ use crate::error::CoreError;
 use crate::internal::DagClass;
 use crate::solver::{merge_shards, Solution, SolveSession};
 use dagwave_graph::{ArcId, Digraph};
-use dagwave_paths::{conflict_components_among, Dipath, DipathFamily, PathFamily, PathId};
+use dagwave_paths::{
+    conflict_components_among, Dipath, DipathFamily, ExtractScratch, PathFamily, PathId,
+};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -99,6 +120,10 @@ use std::sync::Arc;
 /// further behind than this gets a full resync instead of a delta. Bounds
 /// the delta log at ~64 × O(dirty) entries regardless of uptime.
 const DELTA_RETAIN: usize = 64;
+
+/// `Workspace::shard_of` entry of a slot no shard holds (tombstoned, or
+/// added by a batch still in flight).
+const NO_SHARD: PathId = PathId(u32::MAX);
 
 /// One instance mutation: admit or retire a dipath.
 ///
@@ -118,7 +143,9 @@ pub enum Mutation {
 /// [`Workspace::solution`] (monolithic re-solves count as one shard).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Resolve {
-    /// Shards whose cached coloring was reused verbatim.
+    /// Shards whose cached coloring was reused verbatim: the clean shards
+    /// the refresh left untouched (plus pool adoptions), *counted* — a
+    /// refresh never visits them.
     pub shards_reused: usize,
     /// Shards (or the single monolithic solve) recomputed this call.
     pub shards_resolved: usize,
@@ -181,7 +208,8 @@ pub struct WorkspaceStats {
     pub recomputes: usize,
     /// Shards served from cache, summed over every recomputation
     /// (fingerprint-pool adoptions count here, exactly as they do in
-    /// [`Resolve::shards_reused`]).
+    /// [`Resolve::shards_reused`]). Counts untouched clean shards, not
+    /// shards visited: a refresh reads this off the shard count.
     pub shards_reused: usize,
     /// Shards (or monolithic solves) actually recomputed, summed over
     /// every recomputation.
@@ -204,7 +232,8 @@ pub struct WorkspaceStats {
 
 /// One tracked component: its live members (stable ids, ascending), the
 /// shared handles of their dipaths, a content fingerprint, and, once
-/// solved, the cached shard-local solution.
+/// solved, the cached shard-local solution. Stored under its smallest
+/// member (`Workspace::shards`).
 #[derive(Clone, Debug)]
 struct CachedShard {
     /// Stable member ids, ascending.
@@ -225,11 +254,6 @@ struct CachedShard {
     /// the family never change — that is what makes the cache survive id
     /// compaction in the dense view.
     solved: Option<Result<Solution, CoreError>>,
-    /// `true` once the persistent color table reflects this shard's solve
-    /// (under its *current* member ids). Fresh and pool-adopted shards
-    /// start unpatched — an adopted solve is content-identical but may sit
-    /// under different stable ids than when it was banked.
-    patched: bool,
 }
 
 /// A solved shard banked when a mutation dropped it: if a freshly derived
@@ -287,8 +311,33 @@ pub struct Workspace {
     /// [`dagwave_paths::ArcIndex`]); `arc_users[a].len()` is arc `a`'s
     /// load, which is what lets the load be patched per mutation below.
     arc_users: Vec<Vec<u32>>,
-    /// The component partition, canonical order (smallest member first).
-    shards: Vec<CachedShard>,
+    /// The component partition, keyed by each shard's smallest member —
+    /// iteration order is the canonical shard order for free, and a
+    /// dropped shard leaves in O(log S), not a `Vec` shift.
+    shards: BTreeMap<PathId, CachedShard>,
+    /// Stable slot → key of the shard holding that member (`NO_SHARD`
+    /// for tombstoned slots). Rewritten only for the members of dropped
+    /// and freshly derived shards, so a mutation finds the shards it
+    /// dirties without scanning any.
+    shard_of: Vec<PathId>,
+    /// Keys of the shards derived since the last sharded refresh. Only
+    /// these can be unsolved or missing from the color table, so a refresh
+    /// solves and patches exactly this set.
+    fresh: BTreeSet<PathId>,
+    /// `true` while the table holds a monolithic coloring, which a
+    /// per-shard normalization may disagree with: the next sharded refresh
+    /// re-patches every shard, not just the fresh ones.
+    repatch_all: bool,
+    /// Keys of the shards whose cached solve is an error; the first one is
+    /// the error a refresh surfaces (canonical order, like the merge).
+    errored: BTreeSet<PathId>,
+    /// `span_hist[c]` = shards solved with span `c`, trailing zeros
+    /// trimmed — the merged span is its top index, maintained per solve
+    /// and per dropped shard instead of rescanned.
+    span_hist: Vec<u32>,
+    /// Extraction tables reused by every refresh's dirty shards, instead
+    /// of host-sized tables allocated and zero-filled per refresh.
+    scratch: ExtractScratch,
     /// Cached merged snapshot of the current state (dropped on any
     /// mutation). Queries hand out clones of the `Arc` — a cache hit is a
     /// refcount bump, never an instance-sized copy.
@@ -301,8 +350,8 @@ pub struct Workspace {
     /// [`Workspace::span`] / [`Workspace::color_of`] /
     /// [`Workspace::delta_since`].
     table: ColorTable,
-    /// The merged span at the current epoch (max over shard spans,
-    /// maintained per refresh).
+    /// The merged span at the current epoch (the top of `span_hist` on
+    /// the sharded path, the full solve's span on the monolithic one).
     current_span: usize,
     /// Refresh generation: bumped once per refresh that folded mutations
     /// into the table.
@@ -372,33 +421,42 @@ impl Workspace {
                 load_hist[users.len()] += 1;
             }
         }
-        let shards = conflict_components_among(editable.iter())
+        let mut shard_of = vec![NO_SHARD; editable.slot_count()];
+        let shards: BTreeMap<PathId, CachedShard> = conflict_components_among(editable.iter())
             .into_iter()
             .map(|members| {
+                let key = members[0];
                 let paths: Vec<Arc<Dipath>> = members
                     .iter()
                     .map(|&id| {
+                        shard_of[id.index()] = key;
                         editable
                             .get_shared(id)
                             .expect("component members are live") // lint: allow(no-panic): components are derived from the live family on the previous line
                             .clone()
                     })
                     .collect();
-                CachedShard {
+                let shard = CachedShard {
                     fingerprint: shard_fingerprint(&paths),
                     members,
                     paths,
                     solved: None,
-                    patched: false,
-                }
+                };
+                (key, shard)
             })
             .collect();
-        Ok(Workspace {
+        let ws = Workspace {
             session,
             graph,
             family: editable,
             arc_users,
+            fresh: shards.keys().copied().collect(),
             shards,
+            shard_of,
+            repatch_all: false,
+            errored: BTreeSet::new(),
+            span_hist: Vec::new(),
+            scratch: ExtractScratch::new(),
             merged: None,
             last_resolve: Resolve::default(),
             class,
@@ -417,7 +475,9 @@ impl Workspace {
             total_resolved: 0,
             delta_queries: 0,
             delta_resyncs: 0,
-        })
+        };
+        ws.debug_validate();
+        Ok(ws)
     }
 
     /// The session this workspace solves under.
@@ -444,7 +504,7 @@ impl Workspace {
     /// canonical order (ascending within a shard, shards by smallest
     /// member) — without solving anything.
     pub fn components(&self) -> Vec<Vec<PathId>> {
-        self.shards.iter().map(|s| s.members.clone()).collect()
+        self.shards.values().map(|s| s.members.clone()).collect()
     }
 
     /// `π(G, P)` of the current family — the universal lower bound on the
@@ -576,16 +636,23 @@ impl Workspace {
             }
         }
 
-        // ---- Execute, accumulating the dirty shard set and the added ids.
-        let mut dirty_shards: BTreeSet<usize> = BTreeSet::new();
+        // ---- Execute, accumulating the dirty shard keys and the added ids.
+        let mut dirty: BTreeSet<PathId> = BTreeSet::new();
         let mut added: Vec<PathId> = Vec::new();
         for m in batch {
             match m {
                 Mutation::Remove(id) => {
                     let p = self.family.remove(id).expect("validated live"); // lint: allow(no-panic): the validation pass above confirmed the id is live
                     self.pending_removed.insert(id);
-                    if let Some(s) = self.shard_containing(id) {
-                        dirty_shards.insert(s);
+                    // The slot leaves its shard now, so a later addition
+                    // that re-occupies it is never taken for a member of
+                    // the old shard. (An id this batch added may lie past
+                    // the table, which grows once the batch is done.)
+                    if let Some(slot) = self.shard_of.get_mut(id.index()) {
+                        let key = std::mem::replace(slot, NO_SHARD);
+                        if key != NO_SHARD {
+                            dirty.insert(key);
+                        }
                     }
                     for &a in p.arcs() {
                         let users = &mut self.arc_users[a.index()];
@@ -598,17 +665,17 @@ impl Workspace {
                 }
                 Mutation::Add(p) => {
                     // Every component sharing an arc with the new dipath is
-                    // dirtied — the addition may bridge several. Dedup the
-                    // touched users first: a congested arc lists many
-                    // dipaths, and each shard lookup is a scan.
-                    let touched: BTreeSet<u32> = p
-                        .arcs()
-                        .iter()
-                        .flat_map(|&a| self.arc_users[a.index()].iter().copied())
-                        .collect();
-                    for &user in &touched {
-                        if let Some(s) = self.shard_containing(PathId(user)) {
-                            dirty_shards.insert(s);
+                    // dirtied — the addition may bridge several. Users
+                    // added earlier in this batch belong to no shard yet
+                    // (their slot reads `NO_SHARD`, or lies past the table).
+                    for &a in p.arcs() {
+                        for &user in &self.arc_users[a.index()] {
+                            match self.shard_of.get(user as usize) {
+                                Some(&key) if key != NO_SHARD => {
+                                    dirty.insert(key);
+                                }
+                                _ => {}
+                            }
                         }
                     }
                     let id = self.family.insert(p);
@@ -633,33 +700,39 @@ impl Workspace {
                 }
             }
         }
+        self.shard_of.resize(self.family.slot_count(), NO_SHARD);
 
         // ---- Re-derive components over the dirty pool only: members of
         // dirtied shards that are still live, plus the additions (some of
         // which may already be counted via a dirtied shard, or removed
-        // again by the same batch).
+        // again by the same batch; the set deduplicates). Each dirty shard
+        // leaves the index as it is read, and the solved ones are banked
+        // in the reuse pool — a later batch (or this one) may reconstitute
+        // a shard with identical content, and its solve is then adopted
+        // instead of redone…
         let mut pool: BTreeSet<PathId> = added
             .iter()
             .copied()
             .filter(|&id| self.family.contains(id))
             .collect();
-        for &s in &dirty_shards {
+        for key in dirty.iter().rev() {
+            let shard = self
+                .shards
+                .remove(key)
+                .expect("dirty keys name tracked shards"); // lint: allow(no-panic): keys are read from shard_of, which mirrors the index
+            self.fresh.remove(key);
+            self.errored.remove(key);
             pool.extend(
-                self.shards[s]
+                shard
                     .members
                     .iter()
                     .copied()
                     .filter(|&id| self.family.contains(id)),
             );
-        }
-        // Additions may have landed in a reused slot of a dirtied shard;
-        // the BTreeSet above already deduplicates. Drop the dirty shards,
-        // banking the solved ones in the reuse pool — a later batch (or this
-        // one) may reconstitute a shard with identical content, and its
-        // solve is then adopted instead of redone…
-        for &s in dirty_shards.iter().rev() {
-            let shard = self.shards.remove(s);
             if let Some(solved) = shard.solved {
+                if let Ok(sol) = &solved {
+                    span_hist_remove(&mut self.span_hist, sol.num_colors);
+                }
                 self.reuse_pool.push(ReuseEntry {
                     fingerprint: shard.fingerprint,
                     paths: shard.paths,
@@ -667,52 +740,58 @@ impl Workspace {
                 });
             }
         }
-        // …and re-insert the freshly derived components, checking each
-        // against the pool (fingerprint gate, then exact content equality —
-        // a hash collision can never adopt a wrong solve).
+        // …and index the freshly derived components under their smallest
+        // members, checking each against the pool (fingerprint gate, then
+        // exact content equality — a hash collision can never adopt a
+        // wrong solve). Dense ranks are monotone in stable ids, so keying
+        // by the smallest stable member is exactly the order the
+        // from-scratch component scan produces.
         let fresh = conflict_components_among(
             pool.iter()
                 .map(|&id| (id, self.family.get(id).expect("pool is live"))), // lint: allow(no-panic): shard pools only hold live ids by construction
         );
-        let family = &self.family;
-        let reuse_pool = &mut self.reuse_pool;
-        let fresh_shards: Vec<CachedShard> = fresh
-            .into_iter()
-            .map(|members| {
-                let paths: Vec<Arc<Dipath>> = members
-                    .iter()
-                    .map(|&id| {
-                        family
-                            .get_shared(id)
-                            .expect("pool is live") // lint: allow(no-panic): shard pools only hold live ids by construction
-                            .clone()
-                    })
-                    .collect();
-                let fingerprint = shard_fingerprint(&paths);
-                let solved = reuse_pool
-                    .iter()
-                    .position(|e| e.fingerprint == fingerprint && same_paths(&paths, &e.paths))
-                    .map(|i| reuse_pool.swap_remove(i).solved);
-                CachedShard {
-                    members,
-                    paths,
-                    fingerprint,
-                    solved,
-                    // Adopted solves included: the banked solve is content-
-                    // identical, but the reconstituted shard may sit under
-                    // different stable ids, so the table patch must re-run.
-                    patched: false,
+        for members in fresh {
+            let key = members[0];
+            let paths: Vec<Arc<Dipath>> = members
+                .iter()
+                .map(|&id| {
+                    self.shard_of[id.index()] = key;
+                    self.family
+                        .get_shared(id)
+                        .expect("pool is live") // lint: allow(no-panic): shard pools only hold live ids by construction
+                        .clone()
+                })
+                .collect();
+            let fingerprint = shard_fingerprint(&paths);
+            let solved = self
+                .reuse_pool
+                .iter()
+                .position(|e| e.fingerprint == fingerprint && same_paths(&paths, &e.paths))
+                .map(|i| self.reuse_pool.swap_remove(i).solved);
+            match &solved {
+                Some(Ok(sol)) => span_hist_add(&mut self.span_hist, sol.num_colors),
+                Some(Err(_)) => {
+                    self.errored.insert(key);
                 }
-            })
-            .collect();
-        self.shards.extend(fresh_shards);
-        // Canonical shard order: by smallest (stable) member. Dense ranks
-        // are monotone in stable ids, so this is exactly the order the
-        // from-scratch component scan would produce.
-        self.shards.sort_by_key(|s| s.members[0]);
+                None => {}
+            }
+            // Adopted solves included: the banked solve is content-
+            // identical, but the reconstituted shard may sit under
+            // different stable ids, so the table patch must re-run.
+            self.fresh.insert(key);
+            let shard = CachedShard {
+                members,
+                paths,
+                fingerprint,
+                solved,
+            };
+            let displaced = self.shards.insert(key, shard);
+            debug_assert!(displaced.is_none(), "shard key {key} already indexed");
+        }
         self.merged = None;
         self.refreshed = false;
         self.refresh_error = None;
+        self.debug_validate();
         Ok(added)
     }
 
@@ -870,7 +949,7 @@ impl Workspace {
         // stays bounded by the shards dropped between consecutive solves.
         self.reuse_pool.clear();
 
-        // Borrow-heavy stage: plan + dirty-shard solving. Scoped so the
+        // Borrow-heavy stage: gate + dirty-shard solving. Scoped so the
         // dense-view and context borrows end before the table is patched.
         let mono: Option<Result<Solution, CoreError>> = {
             // The family's incrementally-patched dense view, plus the class
@@ -884,32 +963,10 @@ impl Workspace {
                 self.max_load,
                 self.session.request(),
             );
-            // Stable id → dense rank as a flat table (one pass over the
-            // live ids): the plan and the solve translate every shard
-            // member, and a table lookup beats a per-member binary search
-            // on big instances.
-            let mut rank_of: Vec<u32> = vec![u32::MAX; self.family.slot_count()];
-            for (rank, &id) in self.family.dense_ids().iter().enumerate() {
-                rank_of[id.index()] = rank as u32;
-            }
-            let to_dense = move |members: &[PathId]| -> Vec<PathId> {
-                members
-                    .iter()
-                    .map(|&id| {
-                        let rank = rank_of[id.index()];
-                        debug_assert_ne!(rank, u32::MAX, "shard members are live");
-                        PathId(rank)
-                    })
-                    .collect()
-            };
-
-            // The shared decompose gate, fed by the cached component
-            // partition instead of a from-scratch scan.
-            let shards_ref = &self.shards;
-            let plan = self.session.decomposition_plan_with(&ctx, || {
-                shards_ref.iter().map(|s| to_dense(&s.members)).collect()
-            });
-            if plan.is_none() {
+            // The shared decompose gate, fed the size of the cached
+            // component partition instead of a from-scratch scan.
+            let shard_count = self.shards.len();
+            if !self.session.decompose_gate(&ctx, || shard_count) {
                 // Monolithic path (small instance, no split, or the
                 // Theorem-1 fast-path skip): same dispatch as one-shot.
                 self.last_resolve = Resolve {
@@ -919,43 +976,74 @@ impl Workspace {
                 self.total_resolved += 1;
                 Some(self.session.dispatch(&ctx))
             } else {
-                // Solve only the dirty shards, concurrently, through the
-                // same per-shard engine as the one-shot decomposed path.
-                let shard_session = self.session.shard_session();
-                let dirty: Vec<usize> = (0..self.shards.len())
-                    .filter(|&i| self.shards[i].solved.is_none())
+                // Solve only the unsolved shards — all of them fresh —
+                // concurrently, through the same per-shard engine as the
+                // one-shot decomposed path. Only their members are
+                // translated to dense ranks.
+                let family = &self.family;
+                let shards = &self.shards;
+                let dirty: Vec<PathId> = self
+                    .fresh
+                    .iter()
+                    .copied()
+                    .filter(|key| shards[key].solved.is_none())
                     .collect();
                 let dirty_components: Vec<Vec<PathId>> = dirty
                     .iter()
-                    .map(|&i| to_dense(&self.shards[i].members))
+                    .map(|key| {
+                        shards[key]
+                            .members
+                            .iter()
+                            .map(|&id| {
+                                let rank = family.dense_rank(id).expect("shard members are live"); // lint: allow(no-panic): apply() keeps every shard member live
+                                PathId::from_index(rank)
+                            })
+                            .collect()
+                    })
                     .collect();
-                let results = shard_session.solve_components(&self.graph, dense, &dirty_components);
-                for (&i, result) in dirty.iter().zip(results) {
+                let results = self.session.shard_session().solve_components(
+                    &self.graph,
+                    dense,
+                    &dirty_components,
+                    &mut self.scratch,
+                );
+                self.scratch.forget_interned();
+                for (key, result) in dirty.iter().zip(results) {
                     // Cache the shard-local solution only — the dense ids
                     // it was solved under are recomputed per merge, so
                     // later removals elsewhere cannot stale the cache.
-                    self.shards[i].solved = Some(result.map(|(_, sol)| sol));
+                    let solved = result.map(|(_, sol)| sol);
+                    match &solved {
+                        Ok(sol) => span_hist_add(&mut self.span_hist, sol.num_colors),
+                        Err(_) => {
+                            self.errored.insert(*key);
+                        }
+                    }
+                    self.shards
+                        .get_mut(key)
+                        .expect("dirty keys name tracked shards") // lint: allow(no-panic): collected from the index above
+                        .solved = Some(solved);
                 }
+                // Reused = the clean shards left untouched, counted, not
+                // visited.
                 self.last_resolve = Resolve {
-                    shards_reused: self.shards.len() - dirty.len(),
+                    shards_reused: shard_count - dirty.len(),
                     shards_resolved: dirty.len(),
                 };
-                self.total_reused += self.shards.len() - dirty.len();
+                self.total_reused += shard_count - dirty.len();
                 self.total_resolved += dirty.len();
                 None
             }
         };
 
-        match mono {
+        let result = match mono {
             Some(Ok(mut sol)) => {
                 sol.resolve = Some(self.last_resolve);
                 self.patch_from_full(&sol);
                 // The table now holds the *monolithic* coloring, which a
                 // later per-shard normalization may disagree with — no
                 // shard's entries are trustworthy as shard-normalized.
-                for s in &mut self.shards {
-                    s.patched = false;
-                }
+                self.repatch_all = true;
                 self.merged = Some(Arc::new(sol));
                 Ok(())
             }
@@ -964,38 +1052,45 @@ impl Workspace {
                 Err(e)
             }
             None => self.patch_from_shards(),
-        }
+        };
+        self.debug_validate();
+        result
     }
 
-    /// Patch the persistent table from every shard it does not yet
-    /// reflect, normalizing each shard's palette by first appearance —
-    /// byte-for-byte the rule [`merge_shards`] applies, and because that
-    /// normalization is *per shard* (it never looks across shards), a
-    /// clean shard's table entries stay valid verbatim.
+    /// Patch the persistent table from the fresh shards (every shard after
+    /// a monolithic refresh), normalizing each shard's palette by first
+    /// appearance — byte-for-byte the rule [`merge_shards`] applies, and
+    /// because that normalization is *per shard* (it never looks across
+    /// shards), a clean shard's table entries stay valid verbatim.
     fn patch_from_shards(&mut self) -> Result<(), CoreError> {
         // First error in canonical shard order wins — same rule as the
         // merge. The table, span, epoch, and delta log stay untouched; the
-        // error replays to every query until a mutation clears it.
-        for shard in &self.shards {
-            if let Some(Err(e)) = &shard.solved {
-                let e = e.clone();
-                self.refresh_error = Some(e.clone());
-                return Err(e);
-            }
+        // error replays to every query until a mutation clears it, and the
+        // fresh shards stay fresh so a later refresh still patches them.
+        if let Some(key) = self.errored.first() {
+            let e = match &self.shards[key].solved {
+                Some(Err(e)) => e.clone(),
+                // lint: allow(no-panic): errored keys only ever name shards whose solve failed
+                _ => unreachable!("errored keys name failed shards"),
+            };
+            self.refresh_error = Some(e.clone());
+            return Err(e);
         }
+        let keys: Vec<PathId> = if std::mem::take(&mut self.repatch_all) {
+            self.fresh.clear();
+            self.shards.keys().copied().collect()
+        } else {
+            std::mem::take(&mut self.fresh).into_iter().collect()
+        };
         let mut changes: Vec<(PathId, u32)> = Vec::new();
         let mut palette: std::collections::HashMap<usize, u32> = std::collections::HashMap::new();
-        let mut span = 0usize;
-        for shard in self.shards.iter_mut() {
+        for key in keys {
+            let shard = &self.shards[&key];
             let sol = match &shard.solved {
                 Some(Ok(sol)) => sol,
-                // lint: allow(no-panic): refresh() solved every shard, and the error scan above returned on failures
+                // lint: allow(no-panic): refresh() solved every fresh shard, and the error check above returned on failures
                 _ => unreachable!("refresh solved every shard"),
             };
-            span = span.max(sol.num_colors);
-            if shard.patched {
-                continue;
-            }
             palette.clear();
             for (local, &orig) in shard.members.iter().enumerate() {
                 let raw = sol.assignment.color(PathId::from_index(local));
@@ -1006,10 +1101,9 @@ impl Workspace {
                     changes.push((orig, color));
                 }
             }
-            shard.patched = true;
         }
         let removed = self.drain_removed();
-        self.current_span = span;
+        self.current_span = self.span_hist.len().saturating_sub(1);
         self.record_delta(changes, removed);
         Ok(())
     }
@@ -1082,7 +1176,7 @@ impl Workspace {
         // clones the clean shards' solutions.
         let shards: Vec<(Vec<PathId>, &Solution)> = self
             .shards
-            .iter()
+            .values()
             .map(|shard| {
                 let members = shard
                     .members
@@ -1127,11 +1221,79 @@ impl Workspace {
         }
     }
 
-    /// Index of the shard whose member list contains `id`.
-    fn shard_containing(&self, id: PathId) -> Option<usize> {
-        self.shards
-            .iter()
-            .position(|s| s.members.binary_search(&id).is_ok())
+    /// Shadow validation of the shard index (debug builds only; release
+    /// builds compile this to nothing), run after every mutation and
+    /// refresh: every shard sits under its smallest member, the slot table
+    /// names exactly the shard of each live member and `NO_SHARD` for every
+    /// other slot, every unsolved shard is fresh, and the error set and
+    /// span histogram match the cached solves.
+    fn debug_validate(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let mut expected = vec![NO_SHARD; self.family.slot_count()];
+        let mut span_hist: Vec<u32> = Vec::new();
+        let mut members = 0usize;
+        for (&key, shard) in &self.shards {
+            debug_assert_eq!(
+                shard.members.first(),
+                Some(&key),
+                "shard keyed off its smallest member"
+            );
+            for &id in &shard.members {
+                debug_assert!(self.family.contains(id), "shard member {id} is not live");
+                expected[id.index()] = key;
+            }
+            members += shard.members.len();
+            match &shard.solved {
+                None => debug_assert!(
+                    self.fresh.contains(&key),
+                    "unsolved shard {key} is not fresh"
+                ),
+                Some(Ok(sol)) => span_hist_add(&mut span_hist, sol.num_colors),
+                Some(Err(_)) => debug_assert!(
+                    self.errored.contains(&key),
+                    "failed shard {key} not in the error set"
+                ),
+            }
+        }
+        debug_assert_eq!(
+            members,
+            self.family.len(),
+            "shards do not partition the live family"
+        );
+        debug_assert_eq!(
+            self.shard_of, expected,
+            "slot → shard table diverged from shard membership"
+        );
+        debug_assert!(
+            self.fresh
+                .iter()
+                .chain(&self.errored)
+                .all(|key| self.shards.contains_key(key)),
+            "fresh or error set names a dropped shard"
+        );
+        debug_assert_eq!(
+            self.span_hist, span_hist,
+            "span histogram diverged from the cached solves"
+        );
+    }
+}
+
+/// Count one more shard solved with span `span` in a trimmed histogram.
+fn span_hist_add(hist: &mut Vec<u32>, span: usize) {
+    if span >= hist.len() {
+        hist.resize(span + 1, 0);
+    }
+    hist[span] += 1;
+}
+
+/// Count one shard of span `span` less, trimming trailing zeros so the
+/// histogram's top index stays the maximum span.
+fn span_hist_remove(hist: &mut Vec<u32>, span: usize) {
+    hist[span] -= 1;
+    while hist.last() == Some(&0) {
+        hist.pop();
     }
 }
 

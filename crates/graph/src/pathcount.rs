@@ -39,9 +39,16 @@ impl SatCount {
 /// DAG; panics otherwise (callers validate with [`topo::is_dag`] first).
 pub fn saturating_path_counts(g: &Digraph, from: VertexId) -> Vec<SatCount> {
     let order = topo::topological_order(g).expect("saturating_path_counts requires a DAG"); // lint: allow(no-panic): documented contract: callers validate acyclicity first
+    counts_along(g, &order, from)
+}
+
+/// The saturating DP of [`saturating_path_counts`] over a precomputed
+/// topological `order`, so the all-sources scans below sort once per
+/// call instead of once per source vertex.
+fn counts_along(g: &Digraph, order: &[VertexId], from: VertexId) -> Vec<SatCount> {
     let mut counts = vec![SatCount::Zero; g.vertex_count()];
     counts[from.index()] = SatCount::One;
-    for v in order {
+    for &v in order {
         if counts[v.index()] == SatCount::Zero {
             continue;
         }
@@ -55,13 +62,13 @@ pub fn saturating_path_counts(g: &Digraph, from: VertexId) -> Vec<SatCount> {
 
 /// `true` if between every ordered pair of vertices there is at most one
 /// dipath — the paper's UPP property. Runs one saturating DP per vertex,
-/// in parallel with rayon.
+/// in parallel with rayon, all sharing one topological order.
 pub fn is_upp(g: &Digraph) -> bool {
-    if !topo::is_dag(g) {
+    let Ok(order) = topo::topological_order(g) else {
         return false;
-    }
+    };
     (0..g.vertex_count()).into_par_iter().all(|i| {
-        let counts = saturating_path_counts(g, VertexId::from_index(i));
+        let counts = counts_along(g, &order, VertexId::from_index(i));
         counts.iter().all(|&c| c != SatCount::Many)
     })
 }
@@ -69,14 +76,12 @@ pub fn is_upp(g: &Digraph) -> bool {
 /// If the DAG violates UPP, return a witness pair `(u, v)` with at least two
 /// distinct dipaths `u → v`; `None` when the digraph is UPP.
 pub fn upp_violation(g: &Digraph) -> Option<(VertexId, VertexId)> {
-    if !topo::is_dag(g) {
-        return None;
-    }
+    let order = topo::topological_order(g).ok()?;
     let found: Vec<(VertexId, VertexId)> = (0..g.vertex_count())
         .into_par_iter()
         .filter_map(|i| {
             let from = VertexId::from_index(i);
-            let counts = saturating_path_counts(g, from);
+            let counts = counts_along(g, &order, from);
             counts
                 .iter()
                 .position(|&c| c == SatCount::Many)

@@ -22,8 +22,10 @@
 //! per-shard binary search, and the member arc sequences are read straight
 //! out of the (Arc-shared) family without an intermediate all-occurrences
 //! buffer. A long-lived caller (the incremental `Workspace`) keeps one
-//! scratch across re-solves, making repeated extraction allocation-free
-//! and proportional to the shards actually extracted.
+//! scratch across re-solves and forgets its interned lists between them
+//! ([`ExtractScratch::forget_interned`]), so repeated extraction never
+//! re-allocates or re-zeroes the host-sized tables and costs in proportion
+//! to the shards actually extracted.
 
 use crate::dipath::Dipath;
 use crate::family::{DipathFamily, PathId};
@@ -82,6 +84,15 @@ impl ExtractScratch {
         self.stamp += 1;
         self.used_arcs.clear();
         self.used_vertices.clear();
+    }
+
+    /// Drop the remapped sequences interned so far, keeping the (host-
+    /// sized) renumbering tables. The interner is append-only, so a scratch
+    /// that outlives many extractions — the incremental `Workspace` keeps
+    /// one across refreshes — calls this between rounds to bound its
+    /// footprint by one round's shards instead of every shard ever seen.
+    pub fn forget_interned(&mut self) {
+        self.arena = ArcListArena::new();
     }
 }
 
@@ -307,6 +318,29 @@ mod tests {
                 .arc_list()
                 .ptr_eq(sub.family.shared(PathId(1)).arc_list()),
             "identical members resolve to one interned allocation"
+        );
+    }
+
+    #[test]
+    fn forgetting_interned_lists_keeps_extraction_identical() {
+        let (g, f) = two_component_instance();
+        let members = &conflict_components(&g, &f)[0];
+        let mut scratch = ExtractScratch::new();
+        let warm = SubInstance::extract_with(&g, &f, members, &mut scratch);
+        scratch.forget_interned();
+        let again = SubInstance::extract_with(&g, &f, members, &mut scratch);
+        assert_eq!(again.family.len(), warm.family.len());
+        for ((_, a), (_, b)) in again.family.iter().zip(warm.family.iter()) {
+            assert_eq!(a.arcs(), b.arcs());
+        }
+        assert_eq!(again.original_ids(), warm.original_ids());
+        assert!(
+            !again
+                .family
+                .shared(PathId(0))
+                .arc_list()
+                .ptr_eq(warm.family.shared(PathId(0)).arc_list()),
+            "a forgotten list is allocated afresh, not shared"
         );
     }
 

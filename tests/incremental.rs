@@ -5,13 +5,17 @@
 //! `Resolve` provenance showing that untouched shards were actually served
 //! from cache, not recomputed.
 
-use dagwave::core::certify;
+use dagwave::core::{certify, CoreError};
 use dagwave::gen::compose::churn;
-use dagwave::paths::{Dipath, DipathFamily};
-use dagwave::{DecomposePolicy, Solution, SolveSession, SolverBuilder, Strategy, Workspace};
+use dagwave::paths::{Dipath, DipathFamily, PathId};
+use dagwave::{
+    BackendKind, DecomposePolicy, Epoch, Mutation, Policy, Resolve, Solution, SolveSession,
+    SolverBuilder, Strategy, Workspace,
+};
 use dagwave_graph::builder::from_edges;
 use dagwave_graph::{Digraph, VertexId};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// The thread budgets every check runs under (no-op on the sequential
 /// `--no-default-features` build).
@@ -418,4 +422,309 @@ fn shard_members_attribute_paths_without_union_find() {
             assert_eq!(d.shard_of(p), Some(i));
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Shard-index regressions: the workspace keys its shards by smallest member
+// and maps every live slot to its shard's key. Each scenario below moves
+// that index in a different way and is checked, after every batch and at
+// every thread budget, against a from-scratch solve and a mirror rebuilt
+// only from `delta_since`.
+// ---------------------------------------------------------------------------
+
+/// One scripted step's outcome: the refresh's `Resolve`, or the error it
+/// surfaced.
+type StepOutcome = Result<Resolve, CoreError>;
+
+/// Open a workspace on `(g, f)` and apply `batches` one at a time, at
+/// every thread budget. Before the first batch and after each one,
+/// `solution()` must be bit-identical to the from-scratch solve (or fail
+/// with the same error, which `delta_since` must replay too), and a mirror
+/// fed only by `delta_since` must equal the solution's color table.
+/// Returns the outcome of the initial state followed by one per batch,
+/// asserted identical across budgets.
+fn run_checked(
+    session: &SolveSession,
+    g: &Digraph,
+    f: &DipathFamily,
+    batches: &[Vec<Mutation>],
+) -> Vec<StepOutcome> {
+    let runs: Vec<Vec<StepOutcome>> = BUDGETS
+        .iter()
+        .map(|&threads| {
+            with_threads(threads, || {
+                let mut ws = Workspace::new(session.clone(), g.clone(), f.clone()).unwrap();
+                let mut mirror: BTreeMap<PathId, u32> = BTreeMap::new();
+                let mut synced = Epoch::default();
+                let mut outcomes = Vec::new();
+                for i in 0..=batches.len() {
+                    if i > 0 {
+                        ws.apply(batches[i - 1].iter().cloned()).unwrap();
+                    }
+                    let (dense, _) = ws.family().to_dense();
+                    let scratch = ws.session().solve(ws.graph(), &dense);
+                    let outcome = match ws.solution() {
+                        Ok(sol) => {
+                            assert_identical(&sol, &scratch.expect("scratch agrees"));
+                            let d = ws.delta_since(synced).unwrap();
+                            if d.full_resync {
+                                mirror.clear();
+                            }
+                            for id in &d.removed {
+                                mirror.remove(id);
+                            }
+                            mirror.extend(d.changes.iter().copied());
+                            synced = d.epoch;
+                            let table: BTreeMap<PathId, u32> = ws
+                                .family()
+                                .dense_ids()
+                                .iter()
+                                .zip(sol.assignment.colors())
+                                .map(|(&id, &c)| (id, c as u32))
+                                .collect();
+                            assert_eq!(mirror, table, "batch {i}, {threads} threads");
+                            assert_eq!(d.span, sol.num_colors, "batch {i}");
+                            Ok(sol.resolve.expect("workspace stamps resolve"))
+                        }
+                        Err(e) => {
+                            assert_eq!(scratch.err(), Some(e.clone()), "batch {i}");
+                            assert_eq!(ws.delta_since(synced).err(), Some(e.clone()));
+                            Err(e)
+                        }
+                    };
+                    outcomes.push(outcome);
+                }
+                outcomes
+            })
+        })
+        .collect();
+    for (run, threads) in runs.iter().zip(BUDGETS).skip(1) {
+        assert_eq!(run, &runs[0], "{threads} threads vs 1");
+    }
+    runs.into_iter().next().expect("at least one budget")
+}
+
+fn resolved(reused: usize, resolved: usize) -> StepOutcome {
+    Ok(Resolve {
+        shards_reused: reused,
+        shards_resolved: resolved,
+    })
+}
+
+/// Two arc-disjoint chains, two paths each: shard `{0, 1}` on 0→1→2 and
+/// shard `{2, 3}` on 3→4→5.
+fn two_chains() -> (Digraph, DipathFamily) {
+    let g = from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+    let f = DipathFamily::from_paths(vec![
+        path(&g, &[0, 1, 2]),
+        path(&g, &[1, 2]),
+        path(&g, &[3, 4, 5]),
+        path(&g, &[4, 5]),
+    ]);
+    (g, f)
+}
+
+#[test]
+fn removing_a_shards_smallest_member_rekeys_it() {
+    let (g, f) = two_chains();
+    let outcomes = run_checked(
+        &sharded(),
+        &g,
+        &f,
+        &[
+            // Shard {0, 1} loses its key and lives on as {1}…
+            vec![Mutation::Remove(PathId(0))],
+            // …which an addition must still find by its new key: slot 0
+            // is reused and joins it, so the shard is keyed 0 again.
+            vec![Mutation::Add(path(&g, &[0, 1, 2]))],
+            // The other shard's key member goes too, leaving {3} alone.
+            vec![Mutation::Remove(PathId(2))],
+            vec![Mutation::Add(path(&g, &[4, 5]))],
+        ],
+    );
+    assert_eq!(
+        outcomes,
+        vec![
+            resolved(0, 2),
+            resolved(1, 1),
+            resolved(1, 1),
+            resolved(1, 1),
+            resolved(1, 1),
+        ]
+    );
+    let mut ws = Workspace::new(sharded(), g.clone(), f).unwrap();
+    ws.remove_path(PathId(0)).unwrap();
+    assert_eq!(
+        ws.components(),
+        vec![vec![PathId(1)], vec![PathId(2), PathId(3)]]
+    );
+}
+
+#[test]
+fn one_add_bridging_two_shards_merges_them() {
+    let (g, f) = bridge_instance();
+    let outcomes = run_checked(
+        &sharded(),
+        &g,
+        &f,
+        &[vec![Mutation::Add(path(&g, &[1, 2, 3]))]],
+    );
+    assert_eq!(outcomes, vec![resolved(0, 2), resolved(0, 1)]);
+}
+
+#[test]
+fn a_removal_splitting_a_shard_indexes_both_halves() {
+    // The bridge (id 2) holds {0, 1, 2} together; a disjoint chain {3, 4}
+    // stays cached throughout. Removing the bridge splits its shard, and
+    // each half must then be found again by a later addition.
+    let g = from_edges(8, &[(0, 1), (1, 2), (2, 3), (3, 4), (5, 6), (6, 7)]);
+    let f = DipathFamily::from_paths(vec![
+        path(&g, &[0, 1, 2]),
+        path(&g, &[2, 3, 4]),
+        path(&g, &[1, 2, 3]),
+        path(&g, &[5, 6, 7]),
+        path(&g, &[6, 7]),
+    ]);
+    let outcomes = run_checked(
+        &sharded(),
+        &g,
+        &f,
+        &[
+            vec![Mutation::Remove(PathId(2))],
+            vec![Mutation::Add(path(&g, &[3, 4]))],
+        ],
+    );
+    assert_eq!(
+        outcomes,
+        vec![resolved(0, 2), resolved(1, 2), resolved(2, 1)]
+    );
+}
+
+#[test]
+fn remove_and_readd_of_one_slot_in_one_batch_resolves_nothing() {
+    let (g, f) = two_chains();
+    let outcomes = run_checked(
+        &sharded(),
+        &g,
+        &f,
+        &[
+            vec![
+                Mutation::Remove(PathId(0)),
+                Mutation::Add(path(&g, &[0, 1, 2])),
+            ],
+            // The same round trip on the other shard's key member.
+            vec![
+                Mutation::Remove(PathId(2)),
+                Mutation::Add(path(&g, &[3, 4, 5])),
+            ],
+        ],
+    );
+    assert_eq!(
+        outcomes,
+        vec![resolved(0, 2), resolved(2, 0), resolved(2, 0)]
+    );
+}
+
+#[test]
+fn additions_past_the_slot_table_can_be_removed_by_their_own_batch() {
+    // Both additions take fresh slots (4 and 5) that no shard has held, and
+    // the batch retires the second again before it ever joins a shard.
+    let (g, f) = two_chains();
+    let outcomes = run_checked(
+        &sharded(),
+        &g,
+        &f,
+        &[vec![
+            Mutation::Add(path(&g, &[3, 4, 5])),
+            Mutation::Add(path(&g, &[3, 4, 5])),
+            Mutation::Remove(PathId(5)),
+        ]],
+    );
+    assert_eq!(outcomes, vec![resolved(0, 2), resolved(1, 1)]);
+}
+
+#[test]
+fn auto_threshold_crossings_repatch_the_table() {
+    // Pinned backend, so the Auto gate turns on the size threshold and the
+    // component count alone: 5 live paths shard, 4 solve monolithically.
+    // Each crossing back up re-solves only the shard the mutation touched,
+    // and the cached one must then be re-patched over the monolithic
+    // coloring the table holds, not left as it was.
+    let session = SolverBuilder::new()
+        .policy(Policy::Pinned(BackendKind::Dsatur))
+        .decompose(DecomposePolicy::Auto { min_paths: 5 })
+        .build();
+    let g = from_edges(6, &[(0, 1), (1, 2), (3, 4), (4, 5)]);
+    let f = DipathFamily::from_paths(vec![
+        path(&g, &[0, 1, 2]),
+        path(&g, &[1, 2]),
+        path(&g, &[4, 5]),
+        path(&g, &[3, 4, 5]),
+        path(&g, &[3, 4]),
+    ]);
+    let outcomes = run_checked(
+        &session,
+        &g,
+        &f,
+        &[
+            vec![Mutation::Remove(PathId(0))],
+            vec![Mutation::Add(path(&g, &[0, 1, 2]))],
+            vec![Mutation::Remove(PathId(4))],
+            vec![Mutation::Add(path(&g, &[3, 4]))],
+        ],
+    );
+    assert_eq!(
+        outcomes,
+        vec![
+            resolved(0, 2),
+            resolved(0, 1),
+            resolved(1, 1),
+            resolved(0, 1),
+            resolved(1, 1),
+        ]
+    );
+}
+
+#[test]
+fn first_failing_shard_in_canonical_order_wins_until_removed() {
+    // Pinned Theorem 1 fails on every shard outside its class, with the
+    // class in the error: the crossing C4 (part 0, UPP single cycle) and
+    // Figure 3's C5 (part 1, general) fail differently, the chain (part 2)
+    // solves. Retiring the failing parts in order must surface, each time,
+    // the error of the first failing shard left — then success.
+    let chain = {
+        let g = from_edges(3, &[(0, 1), (1, 2)]);
+        let family = DipathFamily::from_paths(vec![path(&g, &[0, 1, 2]), path(&g, &[1, 2])]);
+        dagwave::gen::Instance {
+            graph: g,
+            family,
+            name: "chain".into(),
+        }
+    };
+    let inst = dagwave::gen::compose::disjoint_union(&[
+        dagwave::gen::figures::crossing_c4(),
+        dagwave::gen::figures::figure3(),
+        chain,
+    ]);
+    let session = SolverBuilder::new()
+        .policy(Policy::Pinned(BackendKind::Theorem1))
+        .decompose(DecomposePolicy::Always)
+        .build();
+    let parts = Workspace::new(session.clone(), inst.graph.clone(), inst.family.clone())
+        .unwrap()
+        .components();
+    assert_eq!(parts.len(), 3);
+    let retire = |part: &Vec<PathId>| part.iter().map(|&id| Mutation::Remove(id)).collect();
+    let outcomes = run_checked(
+        &session,
+        &inst.graph,
+        &inst.family,
+        &[retire(&parts[0]), retire(&parts[1])],
+    );
+    let (first, second) = match (&outcomes[0], &outcomes[1]) {
+        (Err(a), Err(b)) => (a, b),
+        other => panic!("both failing parts must fail: {other:?}"),
+    };
+    assert_ne!(first, second, "the two failing classes report differently");
+    assert_eq!(outcomes[2], resolved(1, 0), "the chain shard stays cached");
 }
