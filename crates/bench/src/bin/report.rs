@@ -431,7 +431,9 @@ fn paper_report() {
     // must be ≥5× cheaper than materializing the full `Solution` the same
     // step. Gated in-row on both ratios plus bit-identity: the mirror
     // built ONLY from replayed deltas equals the full solution's color
-    // table at every step, and the from-scratch solve at the end.
+    // table at every step, and the from-scratch solve at the end. Beside
+    // them it times `table_snapshot()`, the served `Query` path, against
+    // `solution()` and asserts the two agree in-row (no timing gate).
     {
         use std::collections::BTreeMap;
         const DELTA_REPS: u32 = 64;
@@ -469,7 +471,7 @@ fn paper_report() {
             replay(&mut mirror, &first);
             synced = first.epoch;
 
-            let (mut delta_us, mut full_us) = (0.0f64, 0.0f64);
+            let (mut delta_us, mut full_us, mut table_us) = (0.0f64, 0.0f64, 0.0f64);
             let mut identical = true;
             for op in &work.script {
                 ws.apply([op.clone()]).unwrap();
@@ -487,6 +489,14 @@ fn paper_report() {
                 synced = d.epoch;
 
                 let t0 = Instant::now();
+                let mut snap = None;
+                for _ in 0..DELTA_REPS {
+                    snap = Some(black_box(ws.table_snapshot().unwrap()));
+                }
+                table_us += t0.elapsed().as_secs_f64() * 1e6 / DELTA_REPS as f64;
+                let snap = snap.expect("at least one rep");
+
+                let t0 = Instant::now();
                 let sol = ws.solution().unwrap();
                 full_us += t0.elapsed().as_secs_f64() * 1e6;
                 let expected: BTreeMap<dagwave_paths::PathId, u32> = ws
@@ -497,6 +507,21 @@ fn paper_report() {
                     .map(|(&id, &c)| (id, c as u32))
                     .collect();
                 identical &= mirror == expected && d.span == sol.num_colors;
+                let listed: BTreeMap<dagwave_paths::PathId, u32> = snap
+                    .table
+                    .iter_live()
+                    .map(|(slot, c)| (dagwave_paths::PathId::from_index(slot), c))
+                    .collect();
+                assert!(
+                    listed == expected
+                        && snap.num_colors == sol.num_colors
+                        && snap.load == sol.load
+                        && snap.optimal == sol.optimal
+                        && snap.strategy == sol.strategy
+                        && Some(snap.shard_count)
+                            == sol.decomposition.as_ref().map(|d| d.shard_count()),
+                    "table snapshot diverged from solution() (k={k})"
+                );
             }
             assert!(
                 identical,
@@ -520,6 +545,7 @@ fn paper_report() {
 
             let delta_avg = delta_us / steps as f64;
             let full_avg = full_us / steps as f64;
+            let table_avg = table_us / steps as f64;
             if k == 4096 {
                 assert!(
                     full_avg / delta_avg.max(1e-9) >= 5.0,
@@ -528,7 +554,13 @@ fn paper_report() {
                 );
             }
             delta_us_per_k.push(delta_avg);
-            rows.push((k, work.instance.family.len(), delta_avg, full_avg));
+            rows.push((
+                k,
+                work.instance.family.len(),
+                delta_avg,
+                full_avg,
+                table_avg,
+            ));
         }
         let growth = delta_us_per_k[1] / delta_us_per_k[0].max(1e-9);
         assert!(
@@ -538,16 +570,18 @@ fn paper_report() {
             delta_us_per_k[0],
             delta_us_per_k[1]
         );
-        for (k, paths, delta_avg, full_avg) in rows {
+        for (k, paths, delta_avg, full_avg, table_avg) in rows {
             row(
                 "D5 delta query path",
                 &format!("churn({k}), |P|={paths}, {steps} steps"),
                 "flat in |P| (≤1.5×), ≥5× vs full, bit-identical",
                 &format!(
                     "delta {delta_avg:.1} µs/query vs full {full_avg:.1} µs \
-                     ({:.0}×), growth {growth:.2}×, mirror = solution = scratch, \
-                     peakRSS={} MiB",
+                     ({:.0}×), growth {growth:.2}×, table snapshot \
+                     {table_avg:.1} µs ({:.0}× below full), mirror = solution \
+                     = table snapshot = scratch, peakRSS={} MiB",
                     full_avg / delta_avg.max(1e-9),
+                    full_avg / table_avg.max(1e-9),
                     peak_rss_cell()
                 ),
             );

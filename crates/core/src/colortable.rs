@@ -74,6 +74,17 @@ impl ColorTable {
         }
     }
 
+    /// Every live `(slot, color)` pair, in ascending slot order — one pass
+    /// over the pages, skipping absent and cleared slots.
+    pub fn iter_live(&self) -> impl Iterator<Item = (usize, u32)> + '_ {
+        self.pages.iter().enumerate().flat_map(|(p, page)| {
+            page.iter()
+                .enumerate()
+                .filter(|&(_, &c)| c != EMPTY)
+                .map(move |(i, &c)| (p * PAGE_SIZE + i, c))
+        })
+    }
+
     /// Number of allocated pages (shared or not).
     #[inline]
     pub fn page_count(&self) -> usize {
@@ -116,6 +127,43 @@ mod tests {
         assert_eq!(t.page_count(), 3);
         assert_eq!(t.get(PAGE_SIZE * 2 + 1), Some(4));
         assert_eq!(t.get(PAGE_SIZE), None);
+    }
+
+    #[test]
+    fn iter_live_yields_live_slots_in_order() {
+        let mut t = ColorTable::new();
+        assert_eq!(t.iter_live().count(), 0, "empty table");
+        // Holes inside a page, a page left entirely empty by growth, a
+        // cleared slot, and a slot overwritten in place.
+        t.set(PAGE_SIZE * 2 + 5, 3);
+        t.set(7, 1);
+        t.set(0, 0);
+        t.set(9, 2);
+        t.set(PAGE_SIZE * 2 + 127, 4);
+        t.clear(9);
+        t.set(7, 5);
+        assert_eq!(t.page_count(), 3);
+        let live: Vec<(usize, u32)> = t.iter_live().collect();
+        assert_eq!(
+            live,
+            vec![
+                (0, 0),
+                (7, 5),
+                (PAGE_SIZE * 2 + 5, 3),
+                (PAGE_SIZE * 2 + 127, 4)
+            ]
+        );
+        // Agrees with `get` on every slot of every page.
+        for slot in 0..t.page_count() * PAGE_SIZE {
+            let listed = live.iter().find(|&&(s, _)| s == slot).map(|&(_, c)| c);
+            assert_eq!(listed, t.get(slot), "slot {slot}");
+        }
+        // Clearing every live slot leaves the pages allocated but empty.
+        for (slot, _) in live {
+            t.clear(slot);
+        }
+        assert_eq!(t.iter_live().count(), 0);
+        assert_eq!(t.page_count(), 3);
     }
 
     #[test]

@@ -96,4 +96,6 @@ pub use colortable::ColorTable;
 pub use decompose::{DecomposePolicy, Decomposition, ShardOutcome};
 pub use error::CoreError;
 pub use solver::{Instance, Solution, SolveSession, SolverBuilder, Strategy};
-pub use workspace::{Epoch, Mutation, Resolve, SolutionDelta, Workspace, WorkspaceStats};
+pub use workspace::{
+    Epoch, Mutation, Resolve, SolutionDelta, TableSnapshot, Workspace, WorkspaceStats,
+};

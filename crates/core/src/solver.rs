@@ -784,11 +784,9 @@ pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
     ctx: &InstanceContext<'_>,
     shards: Vec<(Vec<PathId>, S)>,
 ) -> Solution {
+    let summary = fold_shards(shards.iter().map(|(_, sol)| sol.borrow()))
+        .expect("decomposed solve has at least one shard"); // lint: allow(no-panic): decomposition plans always contain at least one shard
     let mut colors = vec![usize::MAX; ctx.family.len()];
-    let mut span = 0usize;
-    let mut best_lower = 0usize;
-    let mut strategy: Option<Strategy> = None;
-    let mut all_optimal = true;
     let mut attempts = Vec::new();
     let mut reports = Vec::with_capacity(shards.len());
     // One palette map reused across shards (cleared per shard): same
@@ -803,22 +801,6 @@ pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
             let next = palette.len();
             colors[orig.index()] = *palette.entry(raw).or_insert(next);
         }
-        // The merged strategy tag: winner of the first shard attaining the
-        // merged span (strictly-greater update keeps the earliest).
-        if strategy.is_none() || sol.num_colors > span {
-            strategy = Some(sol.strategy);
-        }
-        span = span.max(sol.num_colors);
-        // Each shard's lower bound is a bound on the whole chromatic
-        // number (the union contains the shard as an induced subgraph).
-        let shard_lower = sol
-            .attempts
-            .iter()
-            .map(|a| a.lower_bound)
-            .max()
-            .unwrap_or(sol.load);
-        best_lower = best_lower.max(shard_lower);
-        all_optimal &= sol.optimal;
         attempts.extend(sol.attempts.iter().cloned());
         reports.push(ShardOutcome {
             paths: original_ids.len(),
@@ -848,24 +830,72 @@ pub(crate) fn merge_shards<S: std::borrow::Borrow<Solution>>(
             "merged assignment has an arc conflict: {cert:?}"
         );
         debug_assert_eq!(
-            cert.colors_used, span,
+            cert.colors_used, summary.span,
             "merged span diverged from max shard span: {cert:?}"
         );
     }
     Solution {
         assignment,
-        num_colors: span,
+        num_colors: summary.span,
         // Every arc's users live in exactly one shard, so the whole-
         // instance load (already on the context) is the max shard load.
         load: ctx.load,
-        // Max of per-shard optima is the optimum of the union.
-        optimal: all_optimal || span == best_lower,
+        optimal: summary.optimal,
         class: ctx.class,
-        strategy: strategy.expect("decomposed solve has at least one shard"), // lint: allow(no-panic): decomposition plans always contain at least one shard
+        strategy: summary.strategy,
         attempts,
         decomposition: Some(std::sync::Arc::new(Decomposition { shards: reports })),
         resolve: None,
     }
+}
+
+/// The summary a decomposed solve reports, folded over its shard
+/// solutions in canonical shard order by [`fold_shards`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct ShardSummary {
+    /// The merged span: the maximum shard span.
+    pub(crate) span: usize,
+    /// The winning backend of the first shard attaining the merged span.
+    pub(crate) strategy: Strategy,
+    /// Every shard optimal, or the merged span meets the best shard lower
+    /// bound.
+    pub(crate) optimal: bool,
+}
+
+/// Fold shard solutions, in canonical shard order, into the merged
+/// summary — the one copy of the rule that [`merge_shards`] and the
+/// workspace's table snapshot both apply. `None` for zero shards.
+pub(crate) fn fold_shards<'a>(
+    shards: impl IntoIterator<Item = &'a Solution>,
+) -> Option<ShardSummary> {
+    let mut span = 0usize;
+    let mut best_lower = 0usize;
+    let mut strategy: Option<Strategy> = None;
+    let mut all_optimal = true;
+    for sol in shards {
+        // The merged strategy tag: winner of the first shard attaining the
+        // merged span (strictly-greater update keeps the earliest).
+        if strategy.is_none() || sol.num_colors > span {
+            strategy = Some(sol.strategy);
+        }
+        span = span.max(sol.num_colors);
+        // Each shard's lower bound is a bound on the whole chromatic
+        // number (the union contains the shard as an induced subgraph).
+        let shard_lower = sol
+            .attempts
+            .iter()
+            .map(|a| a.lower_bound)
+            .max()
+            .unwrap_or(sol.load);
+        best_lower = best_lower.max(shard_lower);
+        all_optimal &= sol.optimal;
+    }
+    strategy.map(|strategy| ShardSummary {
+        span,
+        strategy,
+        // Max of per-shard optima is the optimum of the union.
+        optimal: all_optimal || span == best_lower,
+    })
 }
 
 /// One batch/stream instance with panic isolation: a panic anywhere inside

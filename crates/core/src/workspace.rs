@@ -42,7 +42,7 @@
 //! one long-lived `ExtractScratch`, and reads the first failing shard and
 //! the merged span from a set of failed keys and a per-span shard count.
 //! What is still O(live): [`Workspace::solution`]'s materialization (the
-//! snapshot is instance-sized), [`Workspace::components`], a full resync
+//! oracle's snapshot is instance-sized), [`Workspace::components`], a full resync
 //! from [`Workspace::delta_since`], the monolithic path when the gate
 //! declines to shard, and the first sharded refresh after a monolithic one
 //! (it re-patches every shard) — plus, per mutation, the dense view's
@@ -54,10 +54,14 @@
 //! [`Workspace::color_of`], and [`Workspace::delta_since`] answer without
 //! merging — the last returns exactly the `(PathId, color)` pairs that
 //! changed since a client's [`Epoch`], the surface `dagwave-serve`'s
-//! `QueryDelta` frames ride on. [`Workspace::solution`] remains the
-//! bit-identity oracle, but now hands out `Arc<Solution>` snapshots: a
-//! cache hit is a refcount bump, and the full merge runs only when a
-//! snapshot is actually demanded.
+//! `QueryDelta` frames ride on. A full snapshot is served the same way:
+//! [`Workspace::table_snapshot`] returns the summary (read off the cached
+//! monolithic solve, or folded over the shard caches) plus a page-sharing
+//! clone of the table, and `dagwave-serve` answers `Query` from it — no
+//! read materializes a [`Solution`]. [`Workspace::solution`] is the
+//! bit-identity oracle only: it merges every shard into an instance-sized
+//! `Arc<Solution>` (a cache hit is a refcount bump), and the tests and
+//! report rows check the table snapshot and the deltas against it.
 //!
 //! **Invariant:** after any mutation sequence, [`Workspace::solution`] is
 //! bit-identical to a from-scratch [`SolveSession::solve`] on the mutated
@@ -107,7 +111,7 @@ use crate::backend::InstanceContext;
 use crate::colortable::ColorTable;
 use crate::error::CoreError;
 use crate::internal::DagClass;
-use crate::solver::{merge_shards, Solution, SolveSession};
+use crate::solver::{fold_shards, merge_shards, Solution, SolveSession, Strategy};
 use dagwave_graph::{ArcId, Digraph};
 use dagwave_paths::{
     conflict_components_among, Dipath, DipathFamily, ExtractScratch, PathFamily, PathId,
@@ -180,6 +184,30 @@ pub struct SolutionDelta {
     pub changes: Vec<(PathId, u32)>,
     /// Members removed since the client's epoch; ascending stable id.
     pub removed: Vec<PathId>,
+}
+
+/// A full snapshot of the solved state, served from what the workspace
+/// maintains anyway: the persistent [`ColorTable`] plus the summary a
+/// [`Workspace::solution`] would report. Returned by
+/// [`Workspace::table_snapshot`]; every field equals the oracle's, and
+/// [`ColorTable::iter_live`] over `table` lists exactly the oracle's
+/// `(stable id, color)` pairs in ascending id order.
+#[derive(Clone, Debug)]
+pub struct TableSnapshot {
+    /// Number of wavelengths used ([`Solution::num_colors`]).
+    pub num_colors: usize,
+    /// `π(G, P)` ([`Solution::load`]).
+    pub load: usize,
+    /// `true` when `num_colors` is provably minimum ([`Solution::optimal`]).
+    pub optimal: bool,
+    /// Conflict components the solve was split into; 1 for a monolithic
+    /// solve (the shard count of [`Solution::decomposition`], else 1).
+    pub shard_count: usize,
+    /// The backend that determined the span ([`Solution::strategy`]).
+    pub strategy: Strategy,
+    /// The merged colors keyed by stable id — a page-sharing clone of the
+    /// workspace's table.
+    pub table: ColorTable,
 }
 
 /// One retained refresh generation: what the refresh changed, for
@@ -804,10 +832,11 @@ impl Workspace {
     ///
     /// Returns a shared snapshot: repeated calls without intervening
     /// mutations hand out the *same* `Arc` (a refcount bump — the
-    /// instance-sized clone per cache hit is gone). The delta surface
-    /// ([`Workspace::span`] / [`Workspace::color_of`] /
-    /// [`Workspace::delta_since`]) answers without materializing a
-    /// snapshot at all; this method stays the bit-identity oracle.
+    /// instance-sized clone per cache hit is gone). The query surface
+    /// ([`Workspace::table_snapshot`] / [`Workspace::span`] /
+    /// [`Workspace::color_of`] / [`Workspace::delta_since`]) answers
+    /// without materializing a snapshot at all; this method stays the
+    /// bit-identity oracle.
     pub fn solution(&mut self) -> Result<Arc<Solution>, CoreError> {
         self.refresh()?;
         if self.merged.is_none() {
@@ -929,6 +958,56 @@ impl Workspace {
     pub fn color_table(&mut self) -> Result<ColorTable, CoreError> {
         self.refresh()?;
         Ok(self.table.clone())
+    }
+
+    /// The full solved state without materializing a [`Solution`]: the
+    /// summary plus a snapshot of the persistent color table (refreshing
+    /// first). After a monolithic refresh the summary is read off the
+    /// cached monolithic solution; on the sharded path it is folded over
+    /// the cached shard solves in canonical order, O(shards) — nothing is
+    /// O(live). Fails exactly when [`Workspace::solution`] does, with the
+    /// same error.
+    pub fn table_snapshot(&mut self) -> Result<TableSnapshot, CoreError> {
+        self.refresh()?;
+        let (num_colors, load, optimal, shard_count, strategy) = if self.repatch_all {
+            // The table holds a monolithic coloring, whose refresh cached
+            // its solution; no mutation has cleared it since.
+            let sol = self
+                .merged
+                .as_ref()
+                .expect("a monolithic refresh caches its solution"); // lint: allow(no-panic): repatch_all is set together with merged, and apply() clears both refreshed and merged
+            let shard_count = sol.decomposition.as_ref().map_or(1, |d| d.shard_count());
+            (
+                sol.num_colors,
+                sol.load,
+                sol.optimal,
+                shard_count,
+                sol.strategy,
+            )
+        } else {
+            let summary = fold_shards(self.shards.values().map(|shard| match &shard.solved {
+                Some(Ok(sol)) => sol,
+                // lint: allow(no-panic): refresh() solved every shard and surfaced any error before this runs
+                _ => unreachable!("refresh solved every shard"),
+            }))
+            .expect("a sharded refresh has at least one shard"); // lint: allow(no-panic): the decompose gate declines an empty family
+            debug_assert_eq!(summary.span, self.current_span, "folded span diverged");
+            (
+                summary.span,
+                self.max_load,
+                summary.optimal,
+                self.shards.len(),
+                summary.strategy,
+            )
+        };
+        Ok(TableSnapshot {
+            num_colors,
+            load,
+            optimal,
+            shard_count,
+            strategy,
+            table: self.table.clone(),
+        })
     }
 
     /// Fold every pending mutation into the per-shard caches, the

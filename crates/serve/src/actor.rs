@@ -60,7 +60,7 @@ use std::time::Duration;
 use std::time::Instant;
 
 use dagwave_core::{
-    CoreError, Epoch, Mutation, Solution, SolutionDelta, Workspace, WorkspaceStats,
+    CoreError, Epoch, Mutation, SolutionDelta, TableSnapshot, Workspace, WorkspaceStats,
 };
 use dagwave_graph::ArcId;
 use dagwave_paths::{Dipath, PathId};
@@ -182,16 +182,10 @@ pub struct ActorStats {
     pub delta_queries: u64,
 }
 
-/// An immutable view of one solved state: the solution plus the stable id
-/// of each dipath, aligned with the assignment's dense ranks
-/// (`solution.assignment.colors()[i]` is the wavelength of `ids[i]`).
-#[derive(Clone, Debug)]
-pub struct Snapshot {
-    /// The solved state.
-    pub solution: Arc<Solution>,
-    /// Stable path id per dense rank at snapshot time.
-    pub ids: Arc<Vec<PathId>>,
-}
+/// An immutable, shared view of one solved state: the summary and the
+/// color table keyed by stable id, as [`Workspace::table_snapshot`]
+/// returns them. Cloning is a refcount bump.
+pub type Snapshot = Arc<TableSnapshot>;
 
 /// The actor's answer to one command; the variant mirrors the command
 /// kind so non-blocking callers can route completions without a typed
@@ -207,10 +201,40 @@ pub(crate) enum ActorReply {
     Stats(Box<(WorkspaceStats, ActorStats)>),
 }
 
-/// Where one command's reply goes: called exactly once with the reply,
-/// or dropped unanswered if the actor exits first. Decouples the actor
-/// from reactor types.
-pub(crate) type Responder = Box<dyn FnOnce(ActorReply) + Send>;
+/// Where one command's reply goes. Decouples the actor from reactor
+/// types, and guarantees exactly one reply per command: [`Responder::send`]
+/// delivers the actor's answer, and a responder dropped unanswered — its
+/// command discarded by an exiting or unwinding actor — delivers
+/// `Applied(Err(Stopped))` instead. Both reply routers map a reply of the
+/// wrong kind to a typed error, so that fallback fits every command.
+pub(crate) struct Responder(Option<Box<dyn FnOnce(ActorReply) + Send>>);
+
+impl Responder {
+    pub(crate) fn new(deliver: impl FnOnce(ActorReply) + Send + 'static) -> Self {
+        Responder(Some(Box::new(deliver)))
+    }
+
+    /// Deliver the reply.
+    pub(crate) fn send(mut self, reply: ActorReply) {
+        if let Some(deliver) = self.0.take() {
+            deliver(reply);
+        }
+    }
+
+    /// Drop without replying — for a sender whose enqueue failed and who
+    /// answers the request itself.
+    pub(crate) fn disarm(mut self) {
+        self.0 = None;
+    }
+}
+
+impl Drop for Responder {
+    fn drop(&mut self) {
+        if let Some(deliver) = self.0.take() {
+            deliver(ActorReply::Applied(Err(ServeError::Stopped)));
+        }
+    }
+}
 
 pub(crate) enum Command {
     Apply {
@@ -230,6 +254,20 @@ pub(crate) enum Command {
     Stop,
 }
 
+impl Command {
+    /// Discard a command that never reached the actor without replying
+    /// through its responder.
+    pub(crate) fn disarm(self) {
+        match self {
+            Command::Apply { respond, .. }
+            | Command::Query { respond }
+            | Command::QueryDelta { respond, .. }
+            | Command::Stats { respond } => respond.disarm(),
+            Command::Stop => {}
+        }
+    }
+}
+
 /// A cloneable client handle to one tenant actor. Every method enqueues a
 /// command and blocks for the reply; [`ServeError::Stopped`] means the
 /// actor is gone (shutdown). The queue is bounded, so a handle blocks in
@@ -246,7 +284,7 @@ impl TenantHandle {
     ) -> Result<ActorReply, ServeError> {
         let (reply_tx, reply_rx) = mpsc::channel();
         // A dropped receiver just means the caller went away.
-        let respond: Responder = Box::new(move |reply| drop(reply_tx.send(reply)));
+        let respond = Responder::new(move |reply| drop(reply_tx.send(reply)));
         self.tx
             .send(make(respond))
             .map_err(|_| ServeError::Stopped)?;
@@ -262,8 +300,9 @@ impl TenantHandle {
         }
     }
 
-    /// Fetch the current solution snapshot (served from the workspace's
-    /// shard caches when nothing changed since the last query).
+    /// Fetch the current solution snapshot: the summary and color table
+    /// of [`Workspace::table_snapshot`], with no `Solution` materialized
+    /// (cached until the next mutation).
     pub fn query(&self) -> Result<Snapshot, ServeError> {
         match self.round_trip(|respond| Command::Query { respond })? {
             ActorReply::Snapshot(r) => r,
@@ -452,7 +491,7 @@ fn handle_mutations(
             Ok(()) => accepted.push(batch),
             Err(e) => match cfg.admission {
                 AdmissionPolicy::Reject => {
-                    (batch.respond)(ActorReply::Applied(Err(e)));
+                    batch.respond.send(ActorReply::Applied(Err(e)));
                 }
                 AdmissionPolicy::Wait { .. } => park_or_reject(ws, cfg, batch, parked),
             },
@@ -486,10 +525,12 @@ fn park_or_reject(
                 projected,
             })
         }
-        _ => (batch.respond)(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-            budget,
-            projected,
-        }))),
+        _ => batch
+            .respond
+            .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
+                budget,
+                projected,
+            }))),
     }
 }
 
@@ -501,10 +542,11 @@ fn expire_overdue(parked: &mut VecDeque<Parked>) {
     let now = Instant::now();
     while parked.front().is_some_and(|p| p.deadline <= now) {
         if let Some(p) = parked.pop_front() {
-            (p.respond)(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                budget: p.budget,
-                projected: p.projected,
-            })));
+            p.respond
+                .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
+                    budget: p.budget,
+                    projected: p.projected,
+                })));
         }
     }
 }
@@ -540,7 +582,8 @@ fn retry_parked(
 /// Answer every parked batch with `Stopped` (actor shutting down).
 fn fail_parked(parked: &mut VecDeque<Parked>) {
     for p in parked.drain(..) {
-        (p.respond)(ActorReply::Applied(Err(ServeError::Stopped)));
+        p.respond
+            .send(ActorReply::Applied(Err(ServeError::Stopped)));
     }
 }
 
@@ -556,35 +599,25 @@ fn serve_read(
             stats.queries += 1;
             let snap = match snapshot {
                 Some(snap) => Ok(snap.clone()),
+                // Served from the persistent table: no `Solution` is
+                // materialized, and a repeat query bumps a refcount.
                 None => ws
-                    .solution()
-                    .map(|solution| {
-                        // `solution` is already a shared snapshot — a
-                        // repeat query bumps refcounts, nothing more.
-                        let snap = Snapshot {
-                            solution,
-                            ids: Arc::new(ws.family().dense_ids().to_vec()),
-                        };
-                        *snapshot = Some(snap.clone());
-                        snap
-                    })
+                    .table_snapshot()
+                    .map(|snap| Arc::clone(snapshot.insert(Arc::new(snap))))
                     .map_err(ServeError::Core),
             };
-            respond(ActorReply::Snapshot(snap));
+            respond.send(ActorReply::Snapshot(snap));
         }
         Command::QueryDelta { since, respond } => {
             stats.delta_queries += 1;
             let delta = ws.delta_since(Epoch(since)).map_err(ServeError::Core);
-            respond(ActorReply::Delta(delta));
+            respond.send(ActorReply::Delta(delta));
         }
         Command::Stats { respond } => {
-            respond(ActorReply::Stats(Box::new((ws.stats(), *stats))));
+            respond.send(ActorReply::Stats(Box::new((ws.stats(), *stats))));
         }
-        Command::Apply { respond, .. } => {
-            // Unreachable by construction; answer rather than panic.
-            respond(ActorReply::Applied(Err(ServeError::Stopped)));
-        }
-        Command::Stop => {}
+        // Unreachable by construction; a dropped Apply answers `Stopped`.
+        Command::Apply { .. } | Command::Stop => {}
     }
 }
 
@@ -619,7 +652,7 @@ fn apply_admitted(ws: &mut Workspace, accepted: Vec<PendingBatch>, stats: &mut A
                     .count();
                 let ids = all_ids[cursor..cursor + adds].to_vec();
                 cursor += adds;
-                (batch.respond)(ActorReply::Applied(Ok(ids)));
+                batch.respond.send(ActorReply::Applied(Ok(ids)));
             }
             true
         }
@@ -675,7 +708,7 @@ fn fail_one_then_apply_each(
     stats: &mut ActorStats,
 ) -> bool {
     let batch = accepted.remove(bad);
-    (batch.respond)(ActorReply::Applied(Err(err)));
+    batch.respond.send(ActorReply::Applied(Err(err)));
     apply_each(ws, accepted, stats)
 }
 
@@ -700,7 +733,7 @@ fn apply_each(ws: &mut Workspace, batches: Vec<PendingBatch>, stats: &mut ActorS
             stats.batches += 1;
             stats.applies += 1;
         }
-        (batch.respond)(ActorReply::Applied(result));
+        batch.respond.send(ActorReply::Applied(result));
     }
     mutated
 }
@@ -813,6 +846,34 @@ mod tests {
     }
 
     #[test]
+    fn dropped_responder_answers_stopped_exactly_once() {
+        let (tx, rx) = mpsc::channel();
+        let respond = Responder::new(move |reply| drop(tx.send(reply)));
+        drop(respond);
+        assert!(
+            matches!(
+                rx.try_recv(),
+                Ok(ActorReply::Applied(Err(ServeError::Stopped)))
+            ),
+            "an uncalled responder answers when dropped"
+        );
+        assert!(rx.try_recv().is_err(), "and answers only once");
+
+        // An answered responder does not answer again; a disarmed one
+        // never answers.
+        let (tx, rx) = mpsc::channel();
+        let tx2 = tx.clone();
+        Responder::new(move |reply| drop(tx.send(reply)))
+            .send(ActorReply::Delta(Err(ServeError::Busy)));
+        Responder::new(move |reply| drop(tx2.send(reply))).disarm();
+        assert!(matches!(
+            rx.try_recv(),
+            Ok(ActorReply::Delta(Err(ServeError::Busy)))
+        ));
+        assert!(rx.try_recv().is_err());
+    }
+
+    #[test]
     fn actor_round_trip_apply_query_stats_stop() {
         let (h, join) = spawn_tenant(line_workspace(5), config(None));
         let ids = h
@@ -823,12 +884,13 @@ mod tests {
             .expect("two adds");
         assert_eq!(ids, vec![PathId(0), PathId(1)]);
         let snap = h.query().expect("solution");
-        assert_eq!(snap.solution.num_colors, 2);
-        assert_eq!(snap.ids.as_slice(), &[PathId(0), PathId(1)]);
+        assert_eq!(snap.num_colors, 2);
+        let live: Vec<usize> = snap.table.iter_live().map(|(slot, _)| slot).collect();
+        assert_eq!(live, [0, 1]);
         h.apply(vec![ActorOp::Remove(PathId(0))]).expect("remove");
         let snap = h.query().expect("solution after remove");
-        assert_eq!(snap.solution.num_colors, 1);
-        assert_eq!(snap.ids.as_slice(), &[PathId(1)]);
+        assert_eq!(snap.num_colors, 1);
+        assert_eq!(snap.table.iter_live().collect::<Vec<_>>(), [(1, 0)]);
         let (ws_stats, actor_stats) = h.stats().expect("stats");
         assert_eq!(ws_stats.live_paths, 1);
         assert_eq!(actor_stats.batches, 2);

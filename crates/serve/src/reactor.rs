@@ -52,7 +52,9 @@ use std::thread::JoinHandle;
 
 use dagwave_paths::PathId;
 
-use crate::actor::{spawn_tenant, ActorOp, ActorReply, Command, ServeError, TenantHandle};
+use crate::actor::{
+    spawn_tenant, ActorOp, ActorReply, Command, Responder, ServeError, TenantHandle,
+};
 use crate::protocol::{FrameDecoder, Request, Response};
 use crate::server::{
     self, stats_response, wire_error_code, ServerConfig, Transport, WorkspaceFactory,
@@ -712,7 +714,7 @@ impl Reactor {
         }
         let tx = self.completions_tx.clone();
         let waker = self.waker.clone();
-        let respond = Box::new(move |reply| {
+        let respond = Responder::new(move |reply| {
             let _ = tx.send(Completion { token, reply });
             waker.wake();
         });
@@ -732,11 +734,14 @@ impl Reactor {
             Request::Query { .. } => Command::Query { respond },
             Request::QueryDelta { since, .. } => Command::QueryDelta { since, respond },
             Request::Stats { .. } => Command::Stats { respond },
-            Request::Shutdown => return,
+            Request::Shutdown => return respond.disarm(),
         };
+        // Every failure below answers on the spot, so the unsent command's
+        // responder is disarmed: its drop must not post a second reply.
         let sent = match self.tenant(tenant) {
             Ok(handle) => handle.try_send(cmd),
             Err(e) => {
+                cmd.disarm();
                 self.respond(token, &server::error_response(e));
                 return;
             }
@@ -747,11 +752,13 @@ impl Reactor {
                     conn.inflight = Some(kind);
                 }
             }
-            Err(TrySendError::Full(_)) => {
+            Err(TrySendError::Full(cmd)) => {
+                cmd.disarm();
                 self.transport.busy_rejections += 1;
                 self.respond(token, &server::error_response(ServeError::Busy));
             }
-            Err(TrySendError::Disconnected(_)) => {
+            Err(TrySendError::Disconnected(cmd)) => {
+                cmd.disarm();
                 self.respond(token, &server::error_response(ServeError::Stopped));
             }
         }

@@ -198,21 +198,16 @@ pub(crate) fn admitted_response(ids: Vec<PathId>) -> Response {
 
 /// Shape a snapshot into the full-solution wire response.
 pub(crate) fn solution_response(snap: &Snapshot) -> Response {
-    let s = &snap.solution;
     Response::Solution(WireSolution {
-        num_colors: s.num_colors as u32,
-        load: s.load as u32,
-        optimal: s.optimal,
-        shard_count: s
-            .decomposition
-            .as_ref()
-            .map_or(1, |d| d.shard_count() as u32),
-        strategy: s.strategy.to_string(),
+        num_colors: snap.num_colors as u32,
+        load: snap.load as u32,
+        optimal: snap.optimal,
+        shard_count: snap.shard_count as u32,
+        strategy: snap.strategy.to_string(),
         colors: snap
-            .ids
-            .iter()
-            .zip(s.assignment.colors())
-            .map(|(id, &c)| (id.0, c as u32))
+            .table
+            .iter_live()
+            .map(|(slot, c)| (slot as u32, c))
             .collect(),
     })
 }

@@ -6,11 +6,19 @@
 //! test predicts every server-assigned id with a mirrored `PathFamily`.
 #![cfg(unix)]
 
+use std::io::Write;
+use std::net::TcpStream;
+
 use dagwave_core::{CoreError, DecomposePolicy, Mutation, SolveSession, SolverBuilder, Workspace};
 use dagwave_gen::compose::{churn, federated};
 use dagwave_graph::builder::from_edges;
-use dagwave_paths::{DipathFamily, PathFamily};
-use dagwave_serve::{Client, ClientError, ErrorCode, Server, ServerConfig, WireOp};
+use dagwave_graph::{Digraph, VertexId};
+use dagwave_paths::{Dipath, DipathFamily, PathFamily, PathId};
+use dagwave_serve::protocol::{encode_frame, read_frame};
+use dagwave_serve::{
+    Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireOp, WireSolution,
+    WireStats,
+};
 
 fn sharded() -> SolveSession {
     SolverBuilder::new()
@@ -71,17 +79,19 @@ fn drive_script(
 }
 
 /// The served solution must be bit-identical to a from-scratch solve of
-/// the mirror's dense family: same span, load, optimality, strategy, and
-/// the same wavelength on every stable id.
+/// the mirror's dense family under `session`: same span, load,
+/// optimality, strategy, shard count, and the same wavelength on every
+/// stable id.
 fn assert_matches_scratch(
     client: &mut Client,
     tenant: u64,
+    session: &SolveSession,
     graph: &dagwave_graph::Digraph,
     mirror: &PathFamily,
 ) {
     let served = client.query(tenant).expect("query over the wire");
     let (dense, ids) = mirror.to_dense();
-    let scratch = sharded().solve(graph, &dense).expect("reference solve");
+    let scratch = session.solve(graph, &dense).expect("reference solve");
     assert_eq!(served.num_colors as usize, scratch.num_colors);
     assert_eq!(served.load as usize, scratch.load);
     assert_eq!(served.optimal, scratch.optimal);
@@ -110,7 +120,7 @@ fn churned_tenant_is_bit_identical_to_from_scratch() {
         // Solve once up front so churn exercises warm shard caches.
         client.query(0).expect("initial solve");
         let mirror = drive_script(&mut client, 0, &work.instance.family, &work.script);
-        assert_matches_scratch(&mut client, 0, &work.instance.graph, &mirror);
+        assert_matches_scratch(&mut client, 0, &sharded(), &work.instance.graph, &mirror);
         // The workload kept at least one shard untouched at least once.
         let stats = client.stats(0).expect("stats");
         assert!(
@@ -182,7 +192,7 @@ fn tenants_are_isolated() {
     // Churn tenant 17 from a second connection; tenant 31 must not move.
     let mut churner = Client::connect(handle.addr()).expect("second connection");
     let mirror = drive_script(&mut churner, 17, &work.instance.family, &work.script);
-    assert_matches_scratch(&mut churner, 17, &work.instance.graph, &mirror);
+    assert_matches_scratch(&mut churner, 17, &sharded(), &work.instance.graph, &mirror);
 
     let after = client.query(31).expect("tenant 31 after");
     assert_eq!(after, untouched, "tenant 31 observed tenant 17's churn");
@@ -421,4 +431,170 @@ fn unknown_path_retire_is_typed() {
     ));
     client.shutdown().expect("shutdown");
     handle.join().expect("clean exit");
+}
+
+/// `chains` disjoint directed chains of `len` vertices, each carrying
+/// `per_chain` interval dipaths: an internal-cycle-free instance with at
+/// least one conflict component per chain.
+fn interval_chains(chains: usize, len: usize, per_chain: usize) -> (Digraph, DipathFamily) {
+    let edges: Vec<(usize, usize)> = (0..chains)
+        .flat_map(|c| (0..len - 1).map(move |i| (c * len + i, c * len + i + 1)))
+        .collect();
+    let g = from_edges(chains * len, &edges);
+    let mut family = DipathFamily::new();
+    for c in 0..chains {
+        for i in 0..per_chain {
+            let start = (i * 7) % (len - 1);
+            let end = start + 1 + (i * 3) % (len - 1 - start);
+            let route: Vec<VertexId> = (start..=end)
+                .map(|v| VertexId::from_index(c * len + v))
+                .collect();
+            family.push(Dipath::from_vertices(&g, &route).expect("chain interval"));
+        }
+    }
+    (g, family)
+}
+
+/// The full-solution response the `solution()` oracle implies: what the
+/// server shipped before it answered `Query` from the color table.
+fn oracle_response(ws: &mut Workspace) -> Response {
+    let sol = ws.solution().expect("oracle solves");
+    Response::Solution(WireSolution {
+        num_colors: sol.num_colors as u32,
+        load: sol.load as u32,
+        optimal: sol.optimal,
+        shard_count: sol
+            .decomposition
+            .as_ref()
+            .map_or(1, |d| d.shard_count() as u32),
+        strategy: sol.strategy.to_string(),
+        colors: ws
+            .family()
+            .dense_ids()
+            .iter()
+            .zip(sol.assignment.colors())
+            .map(|(id, &c)| (id.0, c as u32))
+            .collect(),
+    })
+}
+
+/// Send one raw `Query` frame and return the reply frame's exact bytes.
+fn raw_query_frame(stream: &mut TcpStream, tenant: u64) -> Vec<u8> {
+    stream
+        .write_all(&Request::Query { tenant }.to_frame())
+        .expect("send query");
+    let (op, payload) = read_frame(stream)
+        .expect("read reply")
+        .expect("server replied");
+    encode_frame(op, &payload)
+}
+
+/// Twelve churn steps over `f`: two admits of a live donor's copy, then
+/// one retirement, repeated; donors and victims are picked by stride.
+fn interval_churn(f: &DipathFamily) -> Vec<Mutation> {
+    let mut mirror = PathFamily::from_family(f);
+    (0..12usize)
+        .map(|step| {
+            if step % 3 == 2 {
+                let id = mirror.ids().nth(step * 31 % mirror.len()).expect("live id");
+                mirror.remove(id).expect("live id");
+                Mutation::Remove(id)
+            } else {
+                let donor = mirror.ids().nth(step * 17 % mirror.len()).expect("live id");
+                let p = mirror.get(donor).expect("donor is live").clone();
+                mirror.insert(p.clone());
+                Mutation::Add(p)
+            }
+        })
+        .collect()
+}
+
+/// Serve one tenant of `(g, f)` under `session`, drive `script` over the
+/// wire, and after every step check the `Query` against a from-scratch
+/// solve and, byte for byte, against the frame the `solution()` oracle
+/// implies. Returns the final stats and the served shard count.
+fn churn_checking_frames(
+    session: SolveSession,
+    g: Digraph,
+    f: DipathFamily,
+    script: &[Mutation],
+) -> (WireStats, u32) {
+    let (served_session, served_g, served_f) = (session.clone(), g.clone(), f.clone());
+    let factory = Box::new(move |_tenant: u64| {
+        Workspace::new(served_session.clone(), served_g.clone(), served_f.clone())
+    });
+    let handle = Server::bind("127.0.0.1:0", factory, ServerConfig::default())
+        .expect("bind loopback")
+        .spawn();
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut raw = TcpStream::connect(handle.addr()).expect("raw connection");
+    let mut oracle = Workspace::new(session.clone(), g.clone(), f.clone()).expect("oracle");
+    let mut mirror = PathFamily::from_family(&f);
+    for (step, op) in script.iter().enumerate() {
+        match op {
+            Mutation::Add(p) => {
+                let arcs: Vec<u32> = p.arcs().iter().map(|a| a.0).collect();
+                let got = client.admit(0, arcs).expect("admit");
+                assert_eq!(PathId(got), mirror.insert(p.clone()));
+            }
+            Mutation::Remove(id) => {
+                client.retire(0, id.0).expect("retire");
+                mirror.remove(*id).expect("live id");
+            }
+        }
+        oracle.apply([op.clone()]).expect("oracle applies");
+        assert_matches_scratch(&mut client, 0, &session, &g, &mirror);
+        assert_eq!(
+            raw_query_frame(&mut raw, 0),
+            oracle_response(&mut oracle).to_frame(),
+            "step {step}: Query reply bytes diverged from the oracle's frame"
+        );
+    }
+    let shard_count = client.query(0).expect("query").shard_count;
+    let stats = client.stats(0).expect("stats");
+    assert_eq!(stats.live_paths, mirror.len() as u64);
+    client.shutdown().expect("shutdown");
+    handle.join().expect("clean exit");
+    (stats, shard_count)
+}
+
+/// `DecomposePolicy::Off`: every refresh is one monolithic solve, and the
+/// served `Query` reads its summary off that solve.
+#[test]
+fn decompose_off_queries_match_scratch_and_the_oracle_frame() {
+    let session = SolverBuilder::new().decompose(DecomposePolicy::Off).build();
+    let (g, f) = interval_chains(3, 12, 20);
+    let script = interval_churn(&f);
+    let (stats, served_shards) = churn_checking_frames(session, g, f, &script);
+    assert_eq!(served_shards, 1, "solved monolithically");
+    assert!(
+        stats.shard_count > 1,
+        "the workspace still tracks components"
+    );
+}
+
+/// Default `Auto` on an internal-cycle-free instance past the size
+/// threshold: the Theorem-1 skip declines to shard although the family
+/// splits, so every refresh goes monolithic.
+#[test]
+fn default_auto_theorem1_skip_queries_match_scratch_and_the_oracle_frame() {
+    let (g, f) = interval_chains(4, 12, DecomposePolicy::DEFAULT_MIN_PATHS / 4 + 8);
+    let script = interval_churn(&f);
+    let (stats, served_shards) = churn_checking_frames(SolveSession::auto(), g, f, &script);
+    assert_eq!(served_shards, 1, "solved monolithically");
+    assert!(stats.shard_count > 1, "the family splits");
+}
+
+/// The sharded path's `Query` reply is byte-identical to the oracle's
+/// frame too.
+#[test]
+fn sharded_query_reply_bytes_match_the_oracle_frame() {
+    let work = churn(17, 3, 16);
+    let (_, served_shards) = churn_checking_frames(
+        sharded(),
+        work.instance.graph,
+        work.instance.family,
+        &work.script,
+    );
+    assert!(served_shards > 1);
 }

@@ -109,6 +109,7 @@ proptest! {
             let incremental = ws.solution().unwrap();
             let scratch = from_scratch(&ws);
             assert_identical(&incremental, &scratch);
+            assert_table_snapshot_matches(&mut ws, &incremental, i);
             prop_assert!(certify::is_conflict_free(
                 ws.graph(),
                 &ws.family().to_dense().0,
@@ -219,6 +220,7 @@ proptest! {
         let incremental = ws.solution().unwrap();
         let scratch = from_scratch(&ws);
         assert_identical(&incremental, &scratch);
+        assert_table_snapshot_matches(&mut ws, &incremental, steps);
     }
 }
 
@@ -439,8 +441,9 @@ type StepOutcome = Result<Resolve, CoreError>;
 /// Open a workspace on `(g, f)` and apply `batches` one at a time, at
 /// every thread budget. Before the first batch and after each one,
 /// `solution()` must be bit-identical to the from-scratch solve (or fail
-/// with the same error, which `delta_since` must replay too), and a mirror
-/// fed only by `delta_since` must equal the solution's color table.
+/// with the same error, which `delta_since` and `table_snapshot` must
+/// replay too), a mirror fed only by `delta_since` must equal the
+/// solution's color table, and `table_snapshot` must equal the solution.
 /// Returns the outcome of the initial state followed by one per batch,
 /// asserted identical across budgets.
 fn run_checked(
@@ -484,11 +487,17 @@ fn run_checked(
                                 .collect();
                             assert_eq!(mirror, table, "batch {i}, {threads} threads");
                             assert_eq!(d.span, sol.num_colors, "batch {i}");
+                            assert_table_snapshot_matches(&mut ws, &sol, i);
                             Ok(sol.resolve.expect("workspace stamps resolve"))
                         }
                         Err(e) => {
                             assert_eq!(scratch.err(), Some(e.clone()), "batch {i}");
                             assert_eq!(ws.delta_since(synced).err(), Some(e.clone()));
+                            assert_eq!(
+                                ws.table_snapshot().err(),
+                                Some(e.clone()),
+                                "batch {i}: the table snapshot fails like solution()"
+                            );
                             Err(e)
                         }
                     };
@@ -502,6 +511,35 @@ fn run_checked(
         assert_eq!(run, &runs[0], "{threads} threads vs 1");
     }
     runs.into_iter().next().expect("at least one budget")
+}
+
+/// `table_snapshot()` must report exactly what the `solution()` oracle
+/// does: the five summary fields, and `iter_live()` equal to the live ids
+/// (ascending) zipped with the assignment's colors.
+fn assert_table_snapshot_matches(ws: &mut Workspace, sol: &Solution, batch: usize) {
+    let snap = ws.table_snapshot().expect("solution() succeeded");
+    assert_eq!(snap.num_colors, sol.num_colors, "batch {batch}");
+    assert_eq!(snap.load, sol.load, "batch {batch}");
+    assert_eq!(snap.optimal, sol.optimal, "batch {batch}");
+    assert_eq!(snap.strategy, sol.strategy, "batch {batch}");
+    assert_eq!(
+        snap.shard_count,
+        sol.decomposition.as_ref().map_or(1, |d| d.shard_count()),
+        "batch {batch}"
+    );
+    let live: Vec<(PathId, u32)> = snap
+        .table
+        .iter_live()
+        .map(|(slot, c)| (PathId::from_index(slot), c))
+        .collect();
+    let expected: Vec<(PathId, u32)> = ws
+        .family()
+        .dense_ids()
+        .iter()
+        .zip(sol.assignment.colors())
+        .map(|(&id, &c)| (id, c as u32))
+        .collect();
+    assert_eq!(live, expected, "batch {batch}");
 }
 
 fn resolved(reused: usize, resolved: usize) -> StepOutcome {
@@ -727,4 +765,31 @@ fn first_failing_shard_in_canonical_order_wins_until_removed() {
     };
     assert_ne!(first, second, "the two failing classes report differently");
     assert_eq!(outcomes[2], resolved(1, 0), "the chain shard stays cached");
+}
+
+#[test]
+fn decompose_off_serves_table_snapshots_from_the_monolithic_solve() {
+    // Never sharded: every refresh is one monolithic solve, and the table
+    // snapshot's summary is read off it (shard count 1) while the
+    // workspace still tracks two components.
+    let session = SolverBuilder::new().decompose(DecomposePolicy::Off).build();
+    let (g, f) = two_chains();
+    let outcomes = run_checked(
+        &session,
+        &g,
+        &f,
+        &[
+            vec![Mutation::Remove(PathId(0))],
+            vec![Mutation::Add(path(&g, &[0, 1, 2]))],
+            vec![
+                Mutation::Add(path(&g, &[3, 4, 5])),
+                Mutation::Remove(PathId(3)),
+            ],
+            vec![Mutation::Remove(PathId(2)), Mutation::Remove(PathId(1))],
+        ],
+    );
+    assert_eq!(outcomes, vec![resolved(0, 1); 5]);
+    let mut ws = Workspace::new(session, g, f).unwrap();
+    assert_eq!(ws.shard_count(), 2);
+    assert_eq!(ws.table_snapshot().unwrap().shard_count, 1);
 }
