@@ -542,11 +542,50 @@ impl Workspace {
         self.max_load
     }
 
-    /// Number of live dipaths currently using arc `a` (its load). Admission
-    /// policies project the post-admit load from this: adding a dipath
-    /// raises every one of its arcs' loads by one.
+    /// Number of live dipaths currently using arc `a` (its load).
     pub fn arc_load(&self, a: ArcId) -> usize {
         self.arc_users.get(a.index()).map_or(0, |users| users.len())
+    }
+
+    /// The largest load any arc the batch adds to would carry once the
+    /// whole `batch` is applied (0 when the batch adds nothing), or the
+    /// error [`Workspace::apply`] would return for it — the admission
+    /// figure: by `π ≤ w` it is a certified lower bound on the span.
+    ///
+    /// It runs `apply`'s own validation pass and changes nothing, so `Ok`
+    /// means `apply` accepts the batch, and the figure is exact: a removal
+    /// is credited once, for the dipath live at that point in the
+    /// sequence — including one an earlier op of the same batch added.
+    pub fn projected_load(&self, batch: &[Mutation]) -> Result<usize, CoreError> {
+        // arc → (net load change, whether an addition uses it)
+        let mut touched: BTreeMap<ArcId, (isize, bool)> = BTreeMap::new();
+        self.validate(batch, |arcs, add| {
+            for &a in arcs {
+                let (delta, added) = touched.entry(a).or_default();
+                *delta += if add { 1 } else { -1 };
+                *added |= add;
+            }
+        })?;
+        Ok(touched
+            .into_iter()
+            .filter(|&(_, (_, added))| added)
+            .map(|(a, (delta, _))| self.arc_load(a).saturating_add_signed(delta))
+            .max()
+            .unwrap_or(0))
+    }
+
+    /// The dipath with this arc sequence on the workspace's graph, or
+    /// [`CoreError::InvalidPath`]. Arc ids are range-checked first: the
+    /// contiguity check indexes the graph's arc tables.
+    pub fn dipath(&self, arcs: &[ArcId]) -> Result<Dipath, CoreError> {
+        let arc_count = self.graph.arc_count();
+        if let Some(a) = arcs.iter().find(|a| a.index() >= arc_count) {
+            return Err(CoreError::InvalidPath(format!(
+                "arc {a} out of range for this graph ({arc_count} arcs)"
+            )));
+        }
+        Dipath::from_arcs(&self.graph, arcs.to_vec())
+            .map_err(|e| CoreError::InvalidPath(e.to_string()))
     }
 
     /// Cumulative counters since [`Workspace::new`]: live paths, shard
@@ -603,66 +642,14 @@ impl Workspace {
     ///
     /// On error (unknown id, dipath invalid on this graph) the workspace is
     /// left exactly as before the batch — validation happens up front,
-    /// before any state changes.
+    /// before any state changes. [`Workspace::projected_load`] runs the
+    /// same validation without applying.
     pub fn apply(
         &mut self,
         batch: impl IntoIterator<Item = Mutation>,
     ) -> Result<Vec<PathId>, CoreError> {
         let batch: Vec<Mutation> = batch.into_iter().collect();
-        // ---- Validate the whole batch against a simulated id state (the
-        // exact free-list discipline of `PathFamily`), so a failing batch
-        // mutates nothing. The simulation is delta-based — the family's
-        // tombstones plus this batch's own removals/additions — so a batch
-        // costs O((tombstones + batch) log), never O(live): an id is live
-        // iff it was added by an earlier op in the batch, or is live in the
-        // family and not removed by an earlier op.
-        let mut free: BTreeSet<u32> = self.family.free_slots().into_iter().collect();
-        let mut slots = self.family.slot_count() as u32;
-        let mut removed_sim: BTreeSet<PathId> = BTreeSet::new();
-        let mut added_sim: BTreeSet<PathId> = BTreeSet::new();
-        for m in &batch {
-            match m {
-                Mutation::Remove(id) => {
-                    if added_sim.remove(id) {
-                        // Un-adds a batch addition; its slot frees again.
-                    } else if !(self.family.contains(*id) && removed_sim.insert(*id)) {
-                        // Not family-live, or already removed this batch.
-                        return Err(CoreError::UnknownPath(*id));
-                    }
-                    free.insert(id.0);
-                }
-                Mutation::Add(p) => {
-                    // Re-derive the dipath against *this* graph: catches
-                    // out-of-range arcs and non-contiguous sequences from
-                    // paths built elsewhere. (Bounds first — the contiguity
-                    // check indexes the graph's arc tables.)
-                    if let Some(&a) = p
-                        .arcs()
-                        .iter()
-                        .find(|a| a.index() >= self.graph.arc_count())
-                    {
-                        return Err(CoreError::InvalidPath(format!(
-                            "arc {a} out of range for this graph ({} arcs)",
-                            self.graph.arc_count()
-                        )));
-                    }
-                    Dipath::from_arcs(&self.graph, p.arcs().to_vec())
-                        .map_err(|e| CoreError::InvalidPath(e.to_string()))?;
-                    // Mirror the insert: smallest free slot, else growth.
-                    let id = match free.iter().next().copied() {
-                        Some(slot) => {
-                            free.remove(&slot);
-                            PathId(slot)
-                        }
-                        None => {
-                            slots += 1;
-                            PathId(slots - 1)
-                        }
-                    };
-                    added_sim.insert(id);
-                }
-            }
-        }
+        self.validate(&batch, |_, _| {})?;
 
         // ---- Execute, accumulating the dirty shard keys and the added ids.
         let mut dirty: BTreeSet<PathId> = BTreeSet::new();
@@ -821,6 +808,60 @@ impl Workspace {
         self.refresh_error = None;
         self.debug_validate();
         Ok(added)
+    }
+
+    /// Validate `batch` against a simulated id state (the exact free-list
+    /// discipline of `PathFamily`), changing nothing, and report each op's
+    /// effect on the loads in batch order: `visit(arcs, true)` for an
+    /// addition, `visit(arcs, false)` for the dipath a removal retires.
+    /// The simulation is delta-based — the family's tombstones plus the
+    /// batch's own removals/additions — so a batch costs
+    /// O((tombstones + batch) log), never O(live): an id is live iff it was
+    /// added by an earlier op in the batch, or is live in the family and not
+    /// removed by an earlier op.
+    fn validate<'b>(
+        &'b self,
+        batch: &'b [Mutation],
+        mut visit: impl FnMut(&'b [ArcId], bool),
+    ) -> Result<(), CoreError> {
+        let mut free: BTreeSet<u32> = self.family.free_slots().into_iter().collect();
+        let mut slots = self.family.slot_count() as u32;
+        let mut removed_sim: BTreeSet<PathId> = BTreeSet::new();
+        let mut added_sim: BTreeMap<PathId, &'b Dipath> = BTreeMap::new();
+        for m in batch {
+            match m {
+                Mutation::Remove(id) => {
+                    // Un-adding a batch addition frees its slot again.
+                    let p = match added_sim.remove(id) {
+                        Some(p) => p,
+                        None => match self.family.get(*id) {
+                            Some(p) if removed_sim.insert(*id) => p,
+                            // Not family-live, or already removed this batch.
+                            _ => return Err(CoreError::UnknownPath(*id)),
+                        },
+                    };
+                    free.insert(id.0);
+                    visit(p.arcs(), false);
+                }
+                Mutation::Add(p) => {
+                    // Re-derive the dipath against *this* graph: catches
+                    // out-of-range arcs and non-contiguous sequences from
+                    // paths built elsewhere.
+                    self.dipath(p.arcs())?;
+                    // Mirror the insert: smallest free slot, else growth.
+                    let id = match free.pop_first() {
+                        Some(slot) => PathId(slot),
+                        None => {
+                            slots += 1;
+                            PathId(slots - 1)
+                        }
+                    };
+                    added_sim.insert(id, p);
+                    visit(p.arcs(), true);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The current solution, recomputing only what the mutations since the

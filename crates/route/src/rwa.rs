@@ -7,7 +7,7 @@
 
 use crate::request::Request;
 use crate::routing::{route_all, RouteError, RoutingStrategy};
-use dagwave_core::{CoreError, Solution, SolveSession, Workspace};
+use dagwave_core::{CoreError, Mutation, Solution, SolveSession, Workspace};
 use dagwave_graph::Digraph;
 use dagwave_paths::{DipathFamily, PathId};
 use std::sync::Arc;
@@ -149,11 +149,13 @@ impl RwaWorkspace {
     /// any arc's load above `budget` is rejected with
     /// [`RwaError::SpanBudgetExceeded`] before the workspace is touched.
     ///
-    /// The check is against the *load* projection: the post-admit load is
-    /// the certified lower bound on the span of the shard the lightpath
-    /// lands in (`π ≤ w` always, and `w = π` on every internal-cycle-free
-    /// shard), so a rejection is never spurious about the bound it quotes.
-    /// Defaults to `None` — unlimited, every valid admission accepted.
+    /// The check is core's one admission rule,
+    /// [`Workspace::projected_load`]: the exact post-admit load of the
+    /// lightpath's most congested arc. That load is the certified lower
+    /// bound on the span of the shard the lightpath lands in (`π ≤ w`
+    /// always, and `w = π` on every internal-cycle-free shard), so a
+    /// rejection is never spurious about the bound it quotes. Defaults to
+    /// `None` — unlimited, every valid admission accepted.
     pub fn set_span_budget(&mut self, budget: Option<usize>) {
         self.span_budget = budget;
     }
@@ -177,12 +179,9 @@ impl RwaWorkspace {
             .map(|(_, p)| p.clone())
             .expect("one request routes to one dipath"); // lint: allow(no-panic): routing one request yields exactly one family entry
         if let Some(budget) = self.span_budget {
-            let projected = path
-                .arcs()
-                .iter()
-                .map(|&a| self.workspace.arc_load(a) + 1)
-                .max()
-                .unwrap_or(0);
+            let projected = self
+                .workspace
+                .projected_load(&[Mutation::Add(path.clone())])?;
             if projected > budget {
                 return Err(RwaError::SpanBudgetExceeded { budget, projected });
             }

@@ -33,13 +33,21 @@
 //!
 //! # Admission control
 //!
-//! With a span budget configured, each client batch is checked against the
-//! projected per-arc load (current load + deltas of batches already
-//! accepted in this drain + the batch's own preceding ops) and rejected
-//! with [`ServeError::SpanBudgetExceeded`] before anything is applied.
-//! Rejected batches contribute no deltas. A `Remove` naming an id admitted
-//! earlier in the *same* batch is not credited back (the projection keeps
-//! the conservative, higher load); removes of live ids are credited.
+//! Each drained batch is first turned into workspace mutations — a bad
+//! dipath fails its own batch right there — and then checked by one rule:
+//! [`Workspace::projected_load`] over the mutations already admitted in
+//! this drain followed by the batch's own. That call runs
+//! `Workspace::apply`'s validation, with or without a budget, so a batch a
+//! sequential apply would reject fails alone, with that error; validation
+//! comes before the budget, so [`CoreError::InvalidPath`] beats
+//! [`ServeError::SpanBudgetExceeded`]. The projection is exact: a `Remove`
+//! is credited once, for the dipath live at that point in the sequence —
+//! one an earlier op of the same batch added included — and a rejected
+//! batch contributes nothing. With a span budget configured, a batch whose
+//! projected load exceeds it is rejected with
+//! [`ServeError::SpanBudgetExceeded`] before anything is applied. The
+//! combined apply then has nothing left to reject, so there is no
+//! per-batch retry.
 //!
 //! Under [`AdmissionPolicy::Wait`] an over-budget batch **parks** instead
 //! of failing: it waits until retirements free enough capacity, falling
@@ -63,11 +71,11 @@ use dagwave_core::{
     CoreError, Epoch, Mutation, SolutionDelta, TableSnapshot, Workspace, WorkspaceStats,
 };
 use dagwave_graph::ArcId;
-use dagwave_paths::{Dipath, PathId};
+use dagwave_paths::PathId;
 
 /// One mutation as the service expresses it: arc-id sequences in, stable
 /// path ids out. The actor owns the graph, so it (not the connection
-/// thread) materializes [`Dipath`]s.
+/// thread) builds the dipaths, through [`Workspace::dipath`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ActorOp {
     /// Admit the dipath with this arc sequence.
@@ -178,8 +186,6 @@ pub struct ActorStats {
     pub applies: u64,
     /// Solution queries served.
     pub queries: u64,
-    /// Delta queries served ([`TenantHandle::query_delta`]).
-    pub delta_queries: u64,
 }
 
 /// An immutable, shared view of one solved state: the summary and the
@@ -373,13 +379,12 @@ struct PendingBatch {
 
 /// A batch held back by [`AdmissionPolicy::Wait`].
 struct Parked {
-    ops: Vec<ActorOp>,
+    muts: Vec<Mutation>,
     respond: Responder,
     /// When the typed rejection fires.
     // lint: allow(no-wallclock): the Wait deadline is wall time by contract
     deadline: Instant,
-    /// The budget/projection pair reported if this batch times out.
-    budget: usize,
+    /// The projected load reported if this batch times out.
     projected: usize,
 }
 
@@ -415,7 +420,7 @@ fn run_actor(mut ws: Workspace, rx: Receiver<Command>, cfg: ActorConfig) {
         let cmd = match next_wake(&rx, &parked) {
             Wake::Cmd(cmd) => cmd,
             Wake::Tick => {
-                expire_overdue(&mut parked);
+                expire_overdue(&cfg, &mut parked);
                 // The expired head may have been the only thing blocking a
                 // smaller parked batch.
                 if retry_parked(&mut ws, &cfg, &mut parked, &mut stats) {
@@ -468,9 +473,10 @@ fn run_actor(mut ws: Workspace, rx: Receiver<Command>, cfg: ActorConfig) {
     }
 }
 
-/// Admit, park, or reject each drained batch per policy, apply the
-/// admitted ones in one combined `Workspace::apply`, then retry parked
-/// batches if capacity changed. Returns whether the workspace mutated.
+/// Validate each drained batch, admit, park, or reject it per policy,
+/// apply the admitted ones in one combined `Workspace::apply`, then retry
+/// parked batches if capacity changed. Returns whether the workspace
+/// mutated.
 fn handle_mutations(
     ws: &mut Workspace,
     cfg: &ActorConfig,
@@ -478,73 +484,106 @@ fn handle_mutations(
     parked: &mut VecDeque<Parked>,
     stats: &mut ActorStats,
 ) -> bool {
-    // Per-arc load deltas of the batches accepted so far in this drain.
-    let mut accepted_delta: Vec<i64> = Vec::new();
-    let mut accepted: Vec<PendingBatch> = Vec::new();
+    // The admitted batches' mutations in drain order, and per batch its
+    // `Add` count and reply channel.
+    let mut combined: Vec<Mutation> = Vec::new();
+    let mut admitted: Vec<(usize, Responder)> = Vec::new();
     for batch in pending {
+        let muts = match to_mutations(ws, batch.ops) {
+            Ok(muts) => muts,
+            Err(e) => {
+                batch.respond.send(ActorReply::Applied(Err(e)));
+                continue;
+            }
+        };
+        let start = combined.len();
+        combined.extend(muts);
         // Batches that fit the budget apply immediately even while others
         // are parked — a later `Remove` must be able to overtake a parked
         // over-budget `Add`, or the capacity it would free never frees.
         // Parked batches retry in arrival order once something mutates,
         // and their timeout bounds how long an overtaken batch can wait.
-        match admission_check(ws, cfg.span_budget, &batch.ops, &mut accepted_delta) {
-            Ok(()) => accepted.push(batch),
-            Err(e) => match cfg.admission {
-                AdmissionPolicy::Reject => {
-                    batch.respond.send(ActorReply::Applied(Err(e)));
-                }
-                AdmissionPolicy::Wait { .. } => park_or_reject(ws, cfg, batch, parked),
-            },
+        match admit(ws, cfg, &combined) {
+            Ok(()) => admitted.push((count_adds(&combined[start..]), batch.respond)),
+            Err(e) => turn_away(cfg, combined.split_off(start), batch.respond, e, parked),
         }
     }
-    let mut mutated = apply_admitted(ws, accepted, stats);
+    let mut mutated = apply_admitted(ws, combined, admitted, stats);
     if mutated {
         mutated |= retry_parked(ws, cfg, parked, stats);
     }
     mutated
 }
 
-/// Park one over-budget batch, or reject it immediately when the parking
-/// queue is full.
-fn park_or_reject(
-    ws: &Workspace,
+/// Turn one batch's ops into workspace mutations; a bad dipath fails the
+/// batch.
+fn to_mutations(ws: &Workspace, ops: Vec<ActorOp>) -> Result<Vec<Mutation>, ServeError> {
+    ops.into_iter()
+        .map(|op| match op {
+            ActorOp::Add(arcs) => Ok(Mutation::Add(ws.dipath(&arcs)?)),
+            ActorOp::Remove(id) => Ok(Mutation::Remove(id)),
+        })
+        .collect()
+}
+
+fn count_adds(muts: &[Mutation]) -> usize {
+    muts.iter()
+        .filter(|m| matches!(m, Mutation::Add(_)))
+        .count()
+}
+
+/// The admission rule: `muts` — the mutations admitted so far in this
+/// drain, then the batch under test — must validate, and their projected
+/// load must fit the budget. Validation runs with no budget too, so a batch
+/// a sequential apply would reject fails alone, with that error.
+fn admit(ws: &Workspace, cfg: &ActorConfig, muts: &[Mutation]) -> Result<(), ServeError> {
+    let projected = ws.projected_load(muts)?;
+    match cfg.span_budget {
+        Some(budget) if projected > budget => {
+            Err(ServeError::SpanBudgetExceeded { budget, projected })
+        }
+        _ => Ok(()),
+    }
+}
+
+/// Answer a batch admission turned away with its error — unless it is
+/// over budget under [`AdmissionPolicy::Wait`] and the parking queue has
+/// room, in which case it parks.
+fn turn_away(
     cfg: &ActorConfig,
-    batch: PendingBatch,
+    muts: Vec<Mutation>,
+    respond: Responder,
+    err: ServeError,
     parked: &mut VecDeque<Parked>,
 ) {
-    let budget = cfg.span_budget.unwrap_or(usize::MAX);
-    let projected = batch_projection(ws, &batch.ops);
-    match cfg.admission {
-        AdmissionPolicy::Wait { max_queue, timeout } if parked.len() < max_queue => {
-            parked.push_back(Parked {
-                ops: batch.ops,
-                respond: batch.respond,
-                // lint: allow(no-wallclock): stamping the client-visible Wait deadline
-                deadline: Instant::now() + timeout,
-                budget,
-                projected,
-            })
-        }
-        _ => batch
-            .respond
-            .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                budget,
-                projected,
-            }))),
+    match (err, cfg.admission) {
+        (
+            ServeError::SpanBudgetExceeded { projected, .. },
+            AdmissionPolicy::Wait { max_queue, timeout },
+        ) if parked.len() < max_queue => parked.push_back(Parked {
+            muts,
+            respond,
+            // lint: allow(no-wallclock): stamping the client-visible Wait deadline
+            deadline: Instant::now() + timeout,
+            projected,
+        }),
+        (err, _) => respond.send(ActorReply::Applied(Err(err))),
     }
 }
 
 /// Reject every parked batch whose deadline has passed. Deadlines are
 /// monotone in arrival order (one shared timeout), so checking heads
 /// suffices.
-fn expire_overdue(parked: &mut VecDeque<Parked>) {
+fn expire_overdue(cfg: &ActorConfig, parked: &mut VecDeque<Parked>) {
+    // Only an over-budget batch parks, so a budget is set.
+    let budget = cfg.span_budget.unwrap_or(usize::MAX);
     // lint: allow(no-wallclock): comparing against the client-visible Wait deadline
     let now = Instant::now();
     while parked.front().is_some_and(|p| p.deadline <= now) {
         if let Some(p) = parked.pop_front() {
             p.respond
                 .send(ActorReply::Applied(Err(ServeError::SpanBudgetExceeded {
-                    budget: p.budget,
+                    budget,
                     projected: p.projected,
                 })));
         }
@@ -552,8 +591,8 @@ fn expire_overdue(parked: &mut VecDeque<Parked>) {
 }
 
 /// Apply parked batches from the head while they fit the freed capacity
-/// (strict FIFO — stop at the first that still does not). Returns whether
-/// anything mutated.
+/// (strict FIFO — stop at the first that still does not); a head that no
+/// longer validates fails. Returns whether anything mutated.
 fn retry_parked(
     ws: &mut Workspace,
     cfg: &ActorConfig,
@@ -562,19 +601,18 @@ fn retry_parked(
 ) -> bool {
     let mut mutated = false;
     while let Some(head) = parked.front() {
-        let mut scratch = Vec::new();
-        if admission_check(ws, cfg.span_budget, &head.ops, &mut scratch).is_err() {
+        let verdict = admit(ws, cfg, &head.muts);
+        if matches!(verdict, Err(ServeError::SpanBudgetExceeded { .. })) {
             break;
         }
         let Some(p) = parked.pop_front() else { break };
-        mutated |= apply_admitted(
-            ws,
-            vec![PendingBatch {
-                ops: p.ops,
-                respond: p.respond,
-            }],
-            stats,
-        );
+        match verdict {
+            Ok(()) => {
+                let adds = count_adds(&p.muts);
+                mutated |= apply_admitted(ws, p.muts, vec![(adds, p.respond)], stats);
+            }
+            Err(e) => p.respond.send(ActorReply::Applied(Err(e))),
+        }
     }
     mutated
 }
@@ -609,7 +647,6 @@ fn serve_read(
             respond.send(ActorReply::Snapshot(snap));
         }
         Command::QueryDelta { since, respond } => {
-            stats.delta_queries += 1;
             let delta = ws.delta_since(Epoch(since)).map_err(ServeError::Core);
             respond.send(ActorReply::Delta(delta));
         }
@@ -621,204 +658,39 @@ fn serve_read(
     }
 }
 
-/// Apply admission-passed batches in a single `Workspace::apply` and
-/// answer every reply channel. Returns whether the workspace mutated.
-fn apply_admitted(ws: &mut Workspace, accepted: Vec<PendingBatch>, stats: &mut ActorStats) -> bool {
-    if accepted.is_empty() {
+/// Apply the admitted batches' mutations in a single `Workspace::apply`
+/// and answer every reply channel, splitting the returned ids by each
+/// batch's `Add` count. Smallest-free-slot id assignment makes the
+/// combined ids identical to what sequential per-batch applies would
+/// assign. Returns whether the workspace mutated.
+fn apply_admitted(
+    ws: &mut Workspace,
+    combined: Vec<Mutation>,
+    admitted: Vec<(usize, Responder)>,
+    stats: &mut ActorStats,
+) -> bool {
+    if admitted.is_empty() {
         return false;
     }
-
-    // One combined apply; split the returned ids by each batch's Add
-    // count. Smallest-free-slot id assignment makes the combined ids
-    // identical to what sequential per-batch applies would assign.
-    let combined: Vec<Mutation> = match materialize(ws, &accepted) {
-        Ok(muts) => muts,
-        Err((idx, e)) => {
-            // A dipath failed to materialize: fail that batch, retry the
-            // rest individually (ids stay sequentialy consistent).
-            return fail_one_then_apply_each(ws, accepted, idx, e, stats);
-        }
-    };
     match ws.apply(combined) {
-        Ok(all_ids) => {
+        Ok(ids) => {
             stats.applies += 1;
-            let mut cursor = 0usize;
-            for batch in accepted {
+            let mut ids = ids.into_iter();
+            for (adds, respond) in admitted {
                 stats.batches += 1;
-                let adds = batch
-                    .ops
-                    .iter()
-                    .filter(|op| matches!(op, ActorOp::Add(_)))
-                    .count();
-                let ids = all_ids[cursor..cursor + adds].to_vec();
-                cursor += adds;
-                batch.respond.send(ActorReply::Applied(Ok(ids)));
+                respond.send(ActorReply::Applied(Ok(ids.by_ref().take(adds).collect())));
             }
             true
         }
-        Err(_) => {
-            // The combined batch is atomic, so the workspace is untouched:
-            // fall back to per-batch applies so one bad batch (e.g. a
-            // stale Remove id) only fails its own sender.
-            apply_each(ws, accepted, stats)
+        // Admission validated exactly this sequence, so this does not
+        // happen; the apply is atomic, so the workspace is untouched.
+        Err(e) => {
+            for (_, respond) in admitted {
+                respond.send(ActorReply::Applied(Err(ServeError::Core(e.clone()))));
+            }
+            false
         }
     }
-}
-
-/// Build the dipath for an `Add`'s arc list, range-checking the arc ids
-/// first (`Digraph` accessors index by arc id, so an out-of-range id must
-/// be rejected here, as a typed error, before the graph ever sees it).
-fn build_dipath(ws: &Workspace, arcs: &[ArcId]) -> Result<Dipath, ServeError> {
-    let arc_count = ws.graph().arc_count();
-    if let Some(bad) = arcs.iter().find(|a| a.index() >= arc_count) {
-        return Err(ServeError::Core(CoreError::InvalidPath(format!(
-            "arc id {} out of range (graph has {arc_count} arcs)",
-            bad.0
-        ))));
-    }
-    Dipath::from_arcs(ws.graph(), arcs.to_vec())
-        .map_err(|e| ServeError::Core(CoreError::InvalidPath(e.to_string())))
-}
-
-/// Turn every accepted batch's ops into workspace mutations; on a bad
-/// dipath, report which batch index failed.
-fn materialize(
-    ws: &Workspace,
-    accepted: &[PendingBatch],
-) -> Result<Vec<Mutation>, (usize, ServeError)> {
-    let mut out = Vec::new();
-    for (idx, batch) in accepted.iter().enumerate() {
-        for op in &batch.ops {
-            match op {
-                ActorOp::Add(arcs) => {
-                    out.push(Mutation::Add(build_dipath(ws, arcs).map_err(|e| (idx, e))?))
-                }
-                ActorOp::Remove(id) => out.push(Mutation::Remove(*id)),
-            }
-        }
-    }
-    Ok(out)
-}
-
-fn fail_one_then_apply_each(
-    ws: &mut Workspace,
-    mut accepted: Vec<PendingBatch>,
-    bad: usize,
-    err: ServeError,
-    stats: &mut ActorStats,
-) -> bool {
-    let batch = accepted.remove(bad);
-    batch.respond.send(ActorReply::Applied(Err(err)));
-    apply_each(ws, accepted, stats)
-}
-
-/// Apply each batch on its own (the non-coalesced slow path after a
-/// combined failure); answers every reply channel. Returns whether any
-/// batch mutated the workspace.
-fn apply_each(ws: &mut Workspace, batches: Vec<PendingBatch>, stats: &mut ActorStats) -> bool {
-    let mut mutated = false;
-    for batch in batches {
-        let result = (|| -> Result<Vec<PathId>, ServeError> {
-            let mut muts = Vec::with_capacity(batch.ops.len());
-            for op in &batch.ops {
-                match op {
-                    ActorOp::Add(arcs) => muts.push(Mutation::Add(build_dipath(ws, arcs)?)),
-                    ActorOp::Remove(id) => muts.push(Mutation::Remove(*id)),
-                }
-            }
-            Ok(ws.apply(muts)?)
-        })();
-        if result.is_ok() {
-            mutated = true;
-            stats.batches += 1;
-            stats.applies += 1;
-        }
-        batch.respond.send(ActorReply::Applied(result));
-    }
-    mutated
-}
-
-/// The projected post-batch maximum load of `ops` alone against the live
-/// workspace (what admission would compare to the budget with nothing
-/// else accepted). Used to report honest numbers for parked batches.
-fn batch_projection(ws: &Workspace, ops: &[ActorOp]) -> usize {
-    let accepted: Vec<i64> = vec![0; ws.graph().arc_count()];
-    let mut own: Vec<i64> = vec![0; ws.graph().arc_count()];
-    projected_span(ws, ops, &accepted, &mut own)
-}
-
-/// Project the per-arc load of applying `ops` on top of the already
-/// accepted deltas; reject if any arc would exceed the budget, otherwise
-/// fold the batch's deltas into `accepted_delta`.
-fn admission_check(
-    ws: &Workspace,
-    span_budget: Option<usize>,
-    ops: &[ActorOp],
-    accepted_delta: &mut Vec<i64>,
-) -> Result<(), ServeError> {
-    let Some(budget) = span_budget else {
-        return Ok(());
-    };
-    if accepted_delta.len() < ws.graph().arc_count() {
-        accepted_delta.resize(ws.graph().arc_count(), 0);
-    }
-    let mut own_delta: Vec<i64> = vec![0; accepted_delta.len()];
-    let projected_max = projected_span(ws, ops, accepted_delta, &mut own_delta);
-    if projected_max > budget {
-        return Err(ServeError::SpanBudgetExceeded {
-            budget,
-            projected: projected_max,
-        });
-    }
-    for (acc, own) in accepted_delta.iter_mut().zip(&own_delta) {
-        *acc += own;
-    }
-    Ok(())
-}
-
-/// Walk `ops` accumulating its own per-arc deltas into `own_delta` and
-/// return the maximum load any arc is projected to reach (live load +
-/// accepted deltas + the batch's own preceding ops).
-fn projected_span(
-    ws: &Workspace,
-    ops: &[ActorOp],
-    accepted_delta: &[i64],
-    own_delta: &mut [i64],
-) -> usize {
-    let mut projected_max = 0usize;
-    for op in ops {
-        match op {
-            ActorOp::Add(arcs) => {
-                for &a in arcs {
-                    let i = a.index();
-                    if i >= own_delta.len() {
-                        // Out-of-range arc: let `Dipath::from_arcs` produce
-                        // the typed InvalidPath error downstream.
-                        continue;
-                    }
-                    own_delta[i] += 1;
-                    let accepted = accepted_delta.get(i).copied().unwrap_or(0);
-                    let projected = (ws.arc_load(a) as i64) + accepted + own_delta[i];
-                    projected_max = projected_max.max(projected.max(0) as usize);
-                }
-            }
-            ActorOp::Remove(id) => {
-                // Credit back a live member's arcs. An id admitted earlier
-                // in this same drain is not resolvable here; skipping it
-                // only keeps the projection conservative (too high, never
-                // too low).
-                if let Some(p) = ws.family().get(*id) {
-                    for &a in p.arcs() {
-                        let i = a.index();
-                        if i < own_delta.len() {
-                            own_delta[i] -= 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    projected_max
 }
 
 #[cfg(test)]
@@ -911,8 +783,8 @@ mod tests {
         let d1 = h.query_delta(d0.epoch.0).expect("second delta");
         assert_eq!(d1.removed, vec![PathId(0)]);
         assert!(d1.changes.is_empty());
-        let (_, actor_stats) = h.stats().expect("stats");
-        assert_eq!(actor_stats.delta_queries, 2);
+        let (ws_stats, _) = h.stats().expect("stats");
+        assert_eq!(ws_stats.delta_queries, 2);
         h.stop();
         join.join().expect("clean exit");
     }
@@ -1077,6 +949,131 @@ mod tests {
             .expect("parked batch applies after the retire");
         h.stop();
         join.join().expect("clean exit");
+    }
+
+    /// One batch's answer; `None` while it is parked.
+    type Answer = Option<Result<Vec<PathId>, ServeError>>;
+
+    /// Run one coalesced drain through `handle_mutations` and return each
+    /// batch's answer, in drain order, plus the number of batches parked.
+    fn drain(
+        ws: &mut Workspace,
+        cfg: &ActorConfig,
+        batches: Vec<Vec<ActorOp>>,
+    ) -> (Vec<Answer>, usize) {
+        let (tx, rx) = mpsc::channel();
+        let count = batches.len();
+        let pending = batches
+            .into_iter()
+            .enumerate()
+            .map(|(i, ops)| {
+                let tx = tx.clone();
+                PendingBatch {
+                    ops,
+                    respond: Responder::new(move |reply| drop(tx.send((i, reply)))),
+                }
+            })
+            .collect();
+        let mut parked = VecDeque::new();
+        handle_mutations(ws, cfg, pending, &mut parked, &mut ActorStats::default());
+        let mut answers: Vec<Answer> = (0..count).map(|_| None).collect();
+        while let Ok((i, reply)) = rx.try_recv() {
+            if let ActorReply::Applied(r) = reply {
+                answers[i] = Some(r);
+            }
+        }
+        (answers, parked.len())
+    }
+
+    /// A budget-1 line whose only live dipath `X = PathId(0)` fills both
+    /// arcs to the budget.
+    fn full_line() -> Workspace {
+        let mut ws = line_workspace(3);
+        let x = ws.dipath(&arc_ids(&[0, 1])).expect("line dipath");
+        ws.apply([Mutation::Add(x)]).expect("X admitted");
+        assert_eq!(ws.max_load(), 1);
+        ws
+    }
+
+    fn assert_b_rejected_at_budget(answers: &[Answer]) {
+        assert!(
+            matches!(
+                answers[1],
+                Some(Err(ServeError::SpanBudgetExceeded {
+                    budget: 1,
+                    projected: 2
+                }))
+            ),
+            "B must not borrow A's credit: {:?}",
+            answers[1]
+        );
+    }
+
+    #[test]
+    fn invalid_batch_lends_no_remove_credit() {
+        let mut ws = full_line();
+        let (answers, parked) = drain(
+            &mut ws,
+            &config(Some(1)),
+            vec![
+                vec![ActorOp::Remove(PathId(0)), ActorOp::Add(arc_ids(&[99]))],
+                vec![ActorOp::Add(arc_ids(&[0, 1]))],
+            ],
+        );
+        assert!(matches!(
+            answers[0],
+            Some(Err(ServeError::Core(CoreError::InvalidPath(_))))
+        ));
+        assert_b_rejected_at_budget(&answers);
+        assert_eq!(parked, 0);
+        assert_eq!(ws.max_load(), 1, "the budget held");
+    }
+
+    #[test]
+    fn double_remove_lends_no_remove_credit() {
+        let mut ws = full_line();
+        let (answers, parked) = drain(
+            &mut ws,
+            &config(Some(1)),
+            vec![
+                vec![ActorOp::Remove(PathId(0)), ActorOp::Remove(PathId(0))],
+                vec![ActorOp::Add(arc_ids(&[0, 1]))],
+            ],
+        );
+        assert!(matches!(
+            answers[0],
+            Some(Err(ServeError::Core(CoreError::UnknownPath(PathId(0)))))
+        ));
+        assert_b_rejected_at_budget(&answers);
+        assert_eq!(parked, 0);
+        assert_eq!(ws.max_load(), 1, "the budget held");
+    }
+
+    #[test]
+    fn wait_policy_fails_invalid_over_budget_batch_at_once() {
+        let mut ws = full_line();
+        let cfg = ActorConfig {
+            span_budget: Some(1),
+            admission: AdmissionPolicy::Wait {
+                max_queue: 4,
+                timeout: Duration::from_secs(10),
+            },
+            ..ActorConfig::default()
+        };
+        let (answers, parked) = drain(
+            &mut ws,
+            &cfg,
+            vec![vec![
+                ActorOp::Add(arc_ids(&[0, 1])),
+                ActorOp::Add(arc_ids(&[99])),
+            ]],
+        );
+        assert_eq!(parked, 0, "an invalid batch never parks");
+        assert!(matches!(
+            answers[0],
+            Some(Err(ServeError::Core(CoreError::InvalidPath(_))))
+        ));
+        assert_eq!(ws.max_load(), 1);
     }
 
     #[test]

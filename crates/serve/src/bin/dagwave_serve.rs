@@ -67,12 +67,12 @@ fn parse_args(argv: &[String]) -> Result<Args, Option<String>> {
             }
             "--span-budget" => {
                 let v = value("--span-budget")?;
-                args.config.span_budget =
+                args.config.actor.span_budget =
                     Some(v.parse().map_err(|_| Some(format!("bad budget {v:?}")))?);
             }
             "--max-coalesce" => {
                 let v = value("--max-coalesce")?;
-                args.config.max_coalesce = v
+                args.config.actor.max_coalesce = v
                     .parse()
                     .map_err(|_| Some(format!("bad coalesce cap {v:?}")))?;
             }

@@ -772,7 +772,7 @@ impl Reactor {
             MapEntry::Occupied(e) => e.into_mut(),
             MapEntry::Vacant(e) => {
                 let ws = (self.factory)(tenant)?;
-                e.insert(spawn_tenant(ws, self.config.actor_config()))
+                e.insert(spawn_tenant(ws, self.config.actor))
             }
         };
         Ok(&entry.0)

@@ -36,7 +36,7 @@ use dagwave_core::{CoreError, SolutionDelta, Workspace, WorkspaceStats};
 use dagwave_graph::ArcId;
 use dagwave_paths::PathId;
 
-use crate::actor::{ActorConfig, ActorOp, ActorStats, AdmissionPolicy, ServeError, Snapshot};
+use crate::actor::{ActorConfig, ActorOp, ActorStats, ServeError, Snapshot};
 use crate::protocol::{ErrorCode, Response, WireDelta, WireError, WireOp, WireSolution, WireStats};
 
 /// Builds the initial [`Workspace`] for a tenant id the server has not
@@ -55,8 +55,6 @@ pub enum FrontEnd {
     Evented,
 }
 
-/// Default bound on each tenant actor's command queue.
-pub const DEFAULT_QUEUE_DEPTH: usize = 256;
 /// Default cap on one connection's queued response bytes before the
 /// reactor stops reading more requests from it.
 pub const DEFAULT_MAX_WRITE_BUFFER: usize = 1 << 20;
@@ -64,19 +62,13 @@ pub const DEFAULT_MAX_WRITE_BUFFER: usize = 1 << 20;
 /// Server-wide knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Admission ceiling on any arc's load (`None` = admit everything).
-    pub span_budget: Option<usize>,
-    /// Max queued mutation batches one `Workspace::apply` may coalesce.
-    pub max_coalesce: usize,
+    /// The knobs of every tenant's actor: span budget, admission policy,
+    /// coalescing cap, and queue depth. A request that finds its tenant's
+    /// queue full is answered with a typed `Busy`.
+    pub actor: ActorConfig,
     /// Carries no choice (see [`FrontEnd`]); removed with the next
     /// benchmark revision.
     pub front_end: FrontEnd,
-    /// What to do with over-budget mutation batches (reject, or park
-    /// until capacity frees / a timeout).
-    pub admission: AdmissionPolicy,
-    /// Bound on each tenant actor's command queue. A request that finds
-    /// it full is answered with a typed `Busy`.
-    pub queue_depth: usize,
     /// Per-connection cap on queued response bytes: past it, the
     /// connection stops being read until the client drains.
     pub max_write_buffer: usize,
@@ -85,24 +77,9 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            span_budget: None,
-            max_coalesce: 64,
+            actor: ActorConfig::default(),
             front_end: FrontEnd::Evented,
-            admission: AdmissionPolicy::Reject,
-            queue_depth: DEFAULT_QUEUE_DEPTH,
             max_write_buffer: DEFAULT_MAX_WRITE_BUFFER,
-        }
-    }
-}
-
-impl ServerConfig {
-    /// The per-tenant actor knobs this configuration implies.
-    pub(crate) fn actor_config(&self) -> ActorConfig {
-        ActorConfig {
-            span_budget: self.span_budget,
-            max_coalesce: self.max_coalesce,
-            queue_depth: self.queue_depth,
-            admission: self.admission,
         }
     }
 }

@@ -257,7 +257,10 @@ fn slow_reader_backpressure_keeps_the_loop_live() {
 #[test]
 fn full_actor_queue_yields_typed_busy() {
     let config = ServerConfig {
-        queue_depth: 1,
+        actor: ActorConfig {
+            queue_depth: 1,
+            ..ActorConfig::default()
+        },
         ..ServerConfig::default()
     };
     let handle = line_server(4, config);
@@ -319,10 +322,13 @@ fn full_actor_queue_yields_typed_busy() {
 #[test]
 fn wait_admission_parks_over_the_wire() {
     let config = ServerConfig {
-        span_budget: Some(2),
-        admission: AdmissionPolicy::Wait {
-            max_queue: 8,
-            timeout: Duration::from_secs(10),
+        actor: ActorConfig {
+            span_budget: Some(2),
+            admission: AdmissionPolicy::Wait {
+                max_queue: 8,
+                timeout: Duration::from_secs(10),
+            },
+            ..ActorConfig::default()
         },
         ..ServerConfig::default()
     };
@@ -350,10 +356,13 @@ fn wait_admission_parks_over_the_wire() {
 
     // And the timeout path still yields the typed rejection.
     let config = ServerConfig {
-        span_budget: Some(1),
-        admission: AdmissionPolicy::Wait {
-            max_queue: 8,
-            timeout: Duration::from_millis(50),
+        actor: ActorConfig {
+            span_budget: Some(1),
+            admission: AdmissionPolicy::Wait {
+                max_queue: 8,
+                timeout: Duration::from_millis(50),
+            },
+            ..ActorConfig::default()
         },
         ..ServerConfig::default()
     };
@@ -426,7 +435,8 @@ fn bounded_defaults_are_in_force() {
     assert!(cfg.queue_depth > 0, "actor queues must be bounded");
     assert!(matches!(cfg.admission, AdmissionPolicy::Reject));
     let sc = ServerConfig::default();
-    assert!(sc.queue_depth > 0);
+    assert!(sc.actor.queue_depth > 0);
+    assert!(matches!(sc.actor.admission, AdmissionPolicy::Reject));
     assert!(sc.max_write_buffer > 0);
     assert_eq!(sc.front_end, FrontEnd::Evented);
 }

@@ -16,8 +16,8 @@ use dagwave_graph::{Digraph, VertexId};
 use dagwave_paths::{Dipath, DipathFamily, PathFamily, PathId};
 use dagwave_serve::protocol::{encode_frame, read_frame};
 use dagwave_serve::{
-    Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireOp, WireSolution,
-    WireStats,
+    ActorConfig, Client, ClientError, ErrorCode, Request, Response, Server, ServerConfig, WireOp,
+    WireSolution, WireStats,
 };
 
 fn sharded() -> SolveSession {
@@ -209,7 +209,10 @@ fn span_budget_rejects_with_typed_code() {
     let handle = line_server(
         4,
         ServerConfig {
-            span_budget: Some(2),
+            actor: ActorConfig {
+                span_budget: Some(2),
+                ..ActorConfig::default()
+            },
             ..ServerConfig::default()
         },
     );

@@ -85,6 +85,33 @@ fn assert_identical(incremental: &Solution, scratch: &Solution) {
     );
 }
 
+/// The admission oracle: `projected_load` runs `apply`'s own validation,
+/// so it fails exactly when `apply` (on a copy) does, with an equal error,
+/// and otherwise equals the post-apply max `arc_load` over the arcs the
+/// batch adds to.
+fn assert_projection_exact(ws: &Workspace, batch: &[Mutation]) {
+    let mut after = ws.clone();
+    match (ws.projected_load(batch), after.apply(batch.to_vec())) {
+        (Ok(projected), Ok(_)) => {
+            let actual = batch
+                .iter()
+                .filter_map(|m| match m {
+                    Mutation::Add(p) => Some(p.arcs()),
+                    Mutation::Remove(_) => None,
+                })
+                .flatten()
+                .map(|&a| after.arc_load(a))
+                .max()
+                .unwrap_or(0);
+            assert_eq!(projected, actual, "projection of {batch:?}");
+        }
+        (Err(projected), Err(applied)) => assert_eq!(projected, applied),
+        (projected, applied) => {
+            panic!("projected_load {projected:?} disagrees with apply {applied:?} on {batch:?}")
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -105,6 +132,15 @@ proptest! {
         ).unwrap();
         let mut saw_reuse = false;
         for (i, op) in work.script.iter().enumerate() {
+            // The step itself, the step twice (a second `Remove` of one id
+            // fails, a second `Add` stacks), and an `Add` retired again in
+            // the same batch (its arcs are credited back).
+            assert_projection_exact(&ws, std::slice::from_ref(op));
+            assert_projection_exact(&ws, &[op.clone(), op.clone()]);
+            if let Mutation::Add(_) = op {
+                let next = ws.family().next_id();
+                assert_projection_exact(&ws, &[op.clone(), Mutation::Remove(next)]);
+            }
             ws.apply([op.clone()]).unwrap();
             let incremental = ws.solution().unwrap();
             let scratch = from_scratch(&ws);
